@@ -6,7 +6,8 @@
 //!
 //! * [`model`] — BPR factorization with user contexts (Eq. 1) and
 //!   hierarchical taxonomy / brand / price side features.
-//! * [`storage`] — lock-free Hogwild parameter tables with per-row Adagrad.
+//! * [`storage`] — parameter tables with per-row Adagrad: lock-free atomic
+//!   for Hogwild, plain `f32` checked out per exact epoch.
 //! * [`dataset`] — hold-out splitting and training-example construction
 //!   (Figure 2 + the cross-strength constraints).
 //! * [`negative`] — the paper's negative-sampling heuristics.

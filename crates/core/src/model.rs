@@ -105,17 +105,17 @@ impl BprModel {
         let meta = catalog.meta(item);
         if self.hp.features.use_taxonomy {
             for c in catalog.taxonomy.ancestors(meta.category) {
-                self.cat_emb.accumulate_row(c.index(), 1.0, out);
+                self.cat_emb.accumulate_row(c.index(), out);
             }
         }
         if self.hp.features.use_brand {
             if let Some(b) = meta.brand {
-                self.brand_emb.accumulate_row(b.index(), 1.0, out);
+                self.brand_emb.accumulate_row(b.index(), out);
             }
         }
         if self.hp.features.use_price {
             if let Some(p) = meta.price {
-                self.price_emb.accumulate_row(price_bucket(p), 1.0, out);
+                self.price_emb.accumulate_row(price_bucket(p), out);
             }
         }
     }
@@ -129,7 +129,7 @@ impl BprModel {
         if self.hp.features.use_taxonomy {
             let meta = catalog.meta(item);
             for c in catalog.taxonomy.ancestors(meta.category) {
-                self.cat_ctx_emb.accumulate_row(c.index(), 1.0, out);
+                self.cat_ctx_emb.accumulate_row(c.index(), out);
             }
         }
     }
@@ -275,67 +275,6 @@ impl BprModel {
         }
     }
 
-    /// Applies an item-side gradient: the same `grad` flows to the item row
-    /// and every active feature row, each with its own Adagrad accumulator.
-    pub(crate) fn apply_item_grad(&self, catalog: &Catalog, item: ItemId, grad: &[f32], lr: f32) {
-        let reg = self.hp.reg_item;
-        self.item_emb.adagrad_step(item.index(), grad, lr, reg);
-        // Shared feature rows learn at a damped rate: the representation is a
-        // sum of all active rows, so stepping each by the full gradient would
-        // multiply the effective learning rate by the component count.
-        let meta = catalog.meta(item);
-        let mut n_components = 0u32;
-        if self.hp.features.use_taxonomy {
-            n_components += catalog.taxonomy.depth(meta.category) + 1;
-        }
-        if self.hp.features.use_brand && meta.brand.is_some() {
-            n_components += 1;
-        }
-        if self.hp.features.use_price && meta.price.is_some() {
-            n_components += 1;
-        }
-        if n_components == 0 {
-            return;
-        }
-        let lr_f = lr / n_components as f32;
-        if self.hp.features.use_taxonomy {
-            for c in catalog.taxonomy.ancestors(meta.category) {
-                self.cat_emb.adagrad_step(c.index(), grad, lr_f, reg);
-            }
-        }
-        if self.hp.features.use_brand {
-            if let Some(b) = meta.brand {
-                self.brand_emb.adagrad_step(b.index(), grad, lr_f, reg);
-            }
-        }
-        if self.hp.features.use_price {
-            if let Some(p) = meta.price {
-                self.price_emb
-                    .adagrad_step(price_bucket(p), grad, lr_f, reg);
-            }
-        }
-    }
-
-    /// Applies a context-side gradient to one context event's rows.
-    pub(crate) fn apply_context_grad(
-        &self,
-        catalog: &Catalog,
-        item: ItemId,
-        grad: &[f32],
-        lr: f32,
-    ) {
-        let reg = self.hp.reg_context;
-        self.ctx_emb.adagrad_step(item.index(), grad, lr, reg);
-        if self.hp.features.use_taxonomy {
-            let meta = catalog.meta(item);
-            let n = catalog.taxonomy.depth(meta.category) + 1;
-            let lr_f = lr / n as f32;
-            for c in catalog.taxonomy.ancestors(meta.category) {
-                self.cat_ctx_emb.adagrad_step(c.index(), grad, lr_f, reg);
-            }
-        }
-    }
-
     /// Resets every Adagrad accumulator (used before incremental runs).
     pub fn reset_adagrad(&self) {
         self.item_emb.reset_adagrad();
@@ -362,8 +301,8 @@ impl BprModel {
     }
 
     /// Read-only access to the six parameter tables in canonical order
-    /// (item, context, category, category-context, brand, price). Used by
-    /// the snapshot codec.
+    /// (item, context, category, category-context, brand, price; indexes in
+    /// [`table`]). Used by the snapshot codec and by training.
     pub(crate) fn tables(&self) -> [&Table; 6] {
         [
             &self.item_emb,
@@ -374,6 +313,16 @@ impl BprModel {
             &self.price_emb,
         ]
     }
+}
+
+/// Positions in the array [`BprModel::tables`] returns.
+pub(crate) mod table {
+    pub(crate) const ITEM: usize = 0;
+    pub(crate) const CTX: usize = 1;
+    pub(crate) const CAT: usize = 2;
+    pub(crate) const CAT_CTX: usize = 3;
+    pub(crate) const BRAND: usize = 4;
+    pub(crate) const PRICE: usize = 5;
 }
 
 /// Dense, read-only item-representation matrix (see

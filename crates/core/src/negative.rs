@@ -14,7 +14,6 @@
 
 use crate::cooc::ExclusionIndex;
 use crate::dataset::{Dataset, Example, ExampleKind};
-use crate::model::BprModel;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use sigmund_types::{Catalog, ItemId, NegativeSamplerKind};
@@ -57,17 +56,18 @@ impl<'a> NegativeSampler<'a> {
 
     /// Samples the negative item for `example`.
     ///
-    /// `user_vec` is the already-built user embedding (used by the adaptive
-    /// sampler); `scratch` must be `model.dim()` long. Returns `None` when no
-    /// acceptable negative exists (e.g. a one-item catalog).
+    /// `score` is the caller's view of the *current* parameters — the
+    /// affinity of this example's user for a candidate item — and is only
+    /// called by the adaptive sampler. Training passes a view over the
+    /// storage the epoch is mutating, so the sampler never scores a stale
+    /// copy. Returns `None` when no acceptable negative exists (e.g. a
+    /// one-item catalog).
     pub fn sample(
         &self,
         ds: &Dataset,
-        model: &BprModel,
         example: &Example,
-        user_vec: &[f32],
-        scratch: &mut [f32],
         rng: &mut StdRng,
+        score: impl FnMut(ItemId) -> f32,
     ) -> Option<ItemId> {
         // Strength constraints: uniform over the example's own pool.
         if let ExampleKind::Strength { .. } = example.kind {
@@ -78,9 +78,7 @@ impl<'a> NegativeSampler<'a> {
         match self.kind {
             NegativeSamplerKind::UniformUnseen => self.uniform_unseen(ds, example, rng),
             NegativeSamplerKind::TaxonomyAware => self.taxonomy_aware(ds, example, rng),
-            NegativeSamplerKind::Adaptive => {
-                self.adaptive(ds, model, example, user_vec, scratch, rng)
-            }
+            NegativeSamplerKind::Adaptive => self.adaptive(ds, example, rng, score),
         }
     }
 
@@ -134,20 +132,18 @@ impl<'a> NegativeSampler<'a> {
     }
 
     /// Adaptive oversampling: draw a few uniform-unseen candidates and keep
-    /// the one the model currently scores highest for this user.
+    /// the one `score` currently ranks highest for this user.
     fn adaptive(
         &self,
         ds: &Dataset,
-        model: &BprModel,
         example: &Example,
-        user_vec: &[f32],
-        scratch: &mut [f32],
         rng: &mut StdRng,
+        mut score: impl FnMut(ItemId) -> f32,
     ) -> Option<ItemId> {
         let mut best: Option<(ItemId, f32)> = None;
         for _ in 0..ADAPTIVE_CANDIDATES {
             let j = self.uniform_unseen(ds, example, rng)?;
-            let s = model.score_with(self.catalog, user_vec, j, scratch);
+            let s = score(j);
             if best.is_none_or(|(_, bs)| s > bs) {
                 best = Some((j, s));
             }
@@ -160,6 +156,7 @@ impl<'a> NegativeSampler<'a> {
 mod tests {
     use super::*;
     use crate::cooc::{CoocConfig, CoocModel};
+    use crate::model::BprModel;
     use sigmund_types::{
         ActionType, HyperParams, Interaction, ItemMeta, RetailerId, Taxonomy, UserId,
     };
@@ -186,29 +183,20 @@ mod tests {
         Dataset::build(10, evs, false)
     }
 
-    fn model(c: &Catalog) -> BprModel {
-        BprModel::init(
-            c,
-            HyperParams {
-                factors: 4,
-                ..Default::default()
-            },
-        )
+    /// The `score` argument for samplers that must never call it.
+    fn unscored(_: ItemId) -> f32 {
+        unreachable!("only the adaptive sampler scores candidates")
     }
 
     #[test]
     fn uniform_avoids_seen_and_positive() {
         let c = catalog();
         let ds = dataset();
-        let m = model(&c);
         let s = NegativeSampler::new(NegativeSamplerKind::UniformUnseen, &c, None);
         let mut rng = StdRng::seed_from_u64(1);
-        let mut scratch = vec![0.0; 4];
         let e = ds.examples.examples[0];
         for _ in 0..200 {
-            let j = s
-                .sample(&ds, &m, &e, &[0.0; 4], &mut scratch, &mut rng)
-                .unwrap();
+            let j = s.sample(&ds, &e, &mut rng, unscored).unwrap();
             assert_ne!(j, e.pos);
             assert!(!ds.is_seen(UserId(0), j), "sampled seen item {j}");
         }
@@ -218,15 +206,11 @@ mod tests {
     fn taxonomy_aware_picks_far_items() {
         let c = catalog();
         let ds = dataset();
-        let m = model(&c);
         let s = NegativeSampler::new(NegativeSamplerKind::TaxonomyAware, &c, None);
         let mut rng = StdRng::seed_from_u64(2);
-        let mut scratch = vec![0.0; 4];
         let e = ds.examples.examples[0]; // positive in category a
         for _ in 0..100 {
-            let j = s
-                .sample(&ds, &m, &e, &[0.0; 4], &mut scratch, &mut rng)
-                .unwrap();
+            let j = s.sample(&ds, &e, &mut rng, unscored).unwrap();
             // All unseen items in category a (3,4) are at distance 1; the
             // sampler must land in category b.
             assert!(j.0 >= 5, "expected far item, got {j}");
@@ -237,7 +221,6 @@ mod tests {
     fn taxonomy_aware_respects_exclusions() {
         let c = catalog();
         let ds = dataset();
-        let m = model(&c);
         // Items 0 and 7 strongly co-viewed by other users.
         let mut evs = Vec::new();
         for u in 1..4 {
@@ -249,7 +232,6 @@ mod tests {
         assert!(ex.excluded(ItemId(0), ItemId(7)));
         let s = NegativeSampler::new(NegativeSamplerKind::TaxonomyAware, &c, Some(&ex));
         let mut rng = StdRng::seed_from_u64(3);
-        let mut scratch = vec![0.0; 4];
         // Example with positive item 0: negative must never be 7.
         let e = ds.examples.examples[0];
         assert_eq!(e.pos, ItemId(1)); // first example: ctx (0), pos 1
@@ -258,9 +240,7 @@ mod tests {
             ..e
         };
         for _ in 0..100 {
-            let j = s
-                .sample(&ds, &m, &e0, &[0.0; 4], &mut scratch, &mut rng)
-                .unwrap();
+            let j = s.sample(&ds, &e0, &mut rng, unscored).unwrap();
             assert_ne!(j, ItemId(7), "co-viewed item used as negative");
         }
     }
@@ -273,10 +253,8 @@ mod tests {
             Interaction::new(UserId(0), ItemId(1), ActionType::View, 1),
         ];
         let ds = Dataset::build(10, evs, false);
-        let m = model(&c);
         let s = NegativeSampler::new(NegativeSamplerKind::UniformUnseen, &c, None);
         let mut rng = StdRng::seed_from_u64(4);
-        let mut scratch = vec![0.0; 4];
         let strength = ds
             .examples
             .examples
@@ -285,9 +263,7 @@ mod tests {
             .copied()
             .expect("has strength example");
         for _ in 0..20 {
-            let j = s
-                .sample(&ds, &m, &strength, &[0.0; 4], &mut scratch, &mut rng)
-                .unwrap();
+            let j = s.sample(&ds, &strength, &mut rng, unscored).unwrap();
             assert_eq!(j, ItemId(1), "pool contains exactly the viewed item");
         }
     }
@@ -296,7 +272,13 @@ mod tests {
     fn adaptive_prefers_high_scoring_negatives() {
         let c = catalog();
         let ds = dataset();
-        let m = model(&c);
+        let m = BprModel::init(
+            &c,
+            HyperParams {
+                factors: 4,
+                ..Default::default()
+            },
+        );
         let uni = NegativeSampler::new(NegativeSamplerKind::UniformUnseen, &c, None);
         let ada = NegativeSampler::new(NegativeSamplerKind::Adaptive, &c, None);
         let mut scratch = vec![0.0; 4];
@@ -308,7 +290,9 @@ mod tests {
             let mut total = 0.0;
             for _ in 0..300 {
                 let j = s
-                    .sample(&ds, &m, &e, &user_vec, &mut scratch, &mut rng)
+                    .sample(&ds, &e, &mut rng, |j| {
+                        m.score_with(&c, &user_vec, j, &mut scratch)
+                    })
                     .unwrap();
                 total += m.score_with(&c, &user_vec, j, &mut scratch);
             }
@@ -331,14 +315,9 @@ mod tests {
             Interaction::new(UserId(0), ItemId(0), ActionType::View, 1),
         ];
         let ds = Dataset::build(1, evs, false);
-        let m = model(&c);
         let s = NegativeSampler::new(NegativeSamplerKind::UniformUnseen, &c, None);
         let mut rng = StdRng::seed_from_u64(6);
-        let mut scratch = vec![0.0; 4];
         let e = ds.examples.examples[0];
-        assert_eq!(
-            s.sample(&ds, &m, &e, &[0.0; 4], &mut scratch, &mut rng),
-            None
-        );
+        assert_eq!(s.sample(&ds, &e, &mut rng, unscored), None);
     }
 }

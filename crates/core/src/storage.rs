@@ -1,16 +1,26 @@
-//! Lock-free parameter storage for Hogwild-style training.
+//! Parameter storage for BPR training: a lock-free atomic table for Hogwild
+//! and a plain `f32` table for the exact single-thread path.
 //!
 //! Section IV-B2: Sigmund trains one retailer per machine and uses
 //! "Hogwild-style multi-threaded training [26]" managed in user code. Hogwild
 //! updates shared parameters *without* synchronization and tolerates the
-//! occasional lost update. We store every learnable scalar as an
-//! [`AtomicF32`] (an `AtomicU32` holding the bit pattern) and perform racy
+//! occasional lost update. [`Table`] stores every learnable scalar as an
+//! [`AtomicF32`] (an `AtomicU32` holding the bit pattern) and performs racy
 //! read-modify-write adds with `Relaxed` ordering — exactly the Hogwild
 //! contract: no torn reads (word-sized atomics), no locks, rare lost updates.
 //!
-//! With a single training thread every operation is exact and deterministic,
-//! which is what the quality experiments rely on.
-
+//! The atomic [`Table`] is what a [`crate::model::BprModel`] owns. It is
+//! for (a) shared-mutation Hogwild epochs (`threads > 1`) and (b) everything
+//! that reads a model *between* epochs through `&BprModel` — snapshots,
+//! evaluation, inference, `observe_epoch`. It is **not** the working storage
+//! of the exact `threads == 1` path: per-scalar relaxed loads and stores are
+//! never vectorised or de-duplicated by LLVM, so an exact epoch checks every
+//! table out into a `PlainTable` (`Table::checkout`), runs on `&mut` plain
+//! `f32`s, and checks the result back in (`Table::checkin`). Both storages
+//! implement the crate-private `RowStore` with the same float evaluation
+//! order, so the one generic BPR step in [`crate::train`] produces identical
+//! bytes on either.
+//!
 //! Under `--cfg loom` the raw atomics are swapped for the deterministic
 //! interleaving explorer in [`crate::loom_model`], which exhaustively
 //! model-checks the racy paths (see `tests/loom_storage.rs`).
@@ -123,13 +133,12 @@ impl Table {
         }
     }
 
-    /// Adds a row into `out` scaled by `w`.
+    /// Adds a row into `out`.
     #[inline]
-    pub fn accumulate_row(&self, r: usize, w: f32, out: &mut [f32]) {
+    pub fn accumulate_row(&self, r: usize, out: &mut [f32]) {
         debug_assert_eq!(out.len(), self.dim);
-        debug_assert!(w.is_finite(), "non-finite row weight {w}");
         for (o, c) in out.iter_mut().zip(self.row(r)) {
-            *o += w * c.load();
+            *o += c.load();
         }
     }
 
@@ -144,11 +153,7 @@ impl Table {
     /// `lr / sqrt(acc + eps)`.
     pub fn adagrad_step(&self, r: usize, grad: &[f32], lr: f32, reg: f32) {
         debug_assert_eq!(grad.len(), self.dim);
-        debug_assert!(lr.is_finite() && reg.is_finite(), "non-finite lr/reg");
-        debug_assert!(
-            grad.iter().all(|g| g.is_finite()),
-            "non-finite gradient for row {r}"
-        );
+        debug_assert_finite_step(r, grad, lr, reg);
         let row = self.row(r);
         let mut norm2 = 0.0f32;
         for (cell, &g) in row.iter().zip(grad) {
@@ -215,6 +220,22 @@ impl Table {
         }
     }
 
+    /// Copies the table and its accumulators out into plain working storage
+    /// for one exact epoch.
+    pub(crate) fn checkout(&self) -> PlainTable {
+        PlainTable {
+            data: self.to_vec(),
+            acc: self.acc_to_vec(),
+            dim: self.dim,
+        }
+    }
+
+    /// Writes a checked-out table (same shape) back.
+    pub(crate) fn checkin(&self, plain: &PlainTable) {
+        self.load_from(&plain.data);
+        self.load_acc_from(&plain.acc);
+    }
+
     /// Grows the table to `new_rows`, initializing fresh rows from `init`.
     /// Existing rows (and their accumulators) are preserved. Used by
     /// incremental training when a retailer adds catalog items.
@@ -231,12 +252,98 @@ impl Table {
     }
 }
 
-/// Dot product between a plain buffer and an atomic row.
+/// A NaN entering the parameter tables must fail loudly in debug and test
+/// builds, on either storage, instead of silently poisoning MAP.
 #[inline]
-pub fn dot_row(buf: &[f32], row: &[AtomicF32]) -> f32 {
-    debug_assert_eq!(buf.len(), row.len());
-    // xtask: allow(dot-seam) — Hogwild training-path dot over atomic cells; the audited inference seam is model::dot, which cannot read AtomicF32 rows
-    buf.iter().zip(row).map(|(b, c)| b * c.load()).sum()
+fn debug_assert_finite_step(r: usize, grad: &[f32], lr: f32, reg: f32) {
+    debug_assert!(lr.is_finite() && reg.is_finite(), "non-finite lr/reg");
+    debug_assert!(
+        grad.iter().all(|g| g.is_finite()),
+        "non-finite gradient for row {r}"
+    );
+}
+
+/// The row operations the BPR step needs, over either storage.
+///
+/// Implementations must keep one float evaluation order — `norm2` summed in
+/// index order, `cur - step * (g + reg * cur)` — so a `threads: 1` epoch
+/// trains the same bytes on `&Table` and on [`PlainTable`]
+/// (`train::tests::storage_invariance_*` holds them to it).
+pub(crate) trait RowStore {
+    /// Copies row `r` into `out`.
+    fn read(&self, r: usize, out: &mut [f32]);
+    /// Adds row `r` into `out`.
+    fn accumulate(&self, r: usize, out: &mut [f32]);
+    /// One Adagrad SGD step on row `r`; see [`Table::adagrad_step`].
+    fn adagrad_step(&mut self, r: usize, grad: &[f32], lr: f32, reg: f32);
+}
+
+/// Hogwild storage: every trainer thread holds the same shared table.
+impl RowStore for &Table {
+    #[inline]
+    fn read(&self, r: usize, out: &mut [f32]) {
+        self.read_row(r, out);
+    }
+
+    #[inline]
+    fn accumulate(&self, r: usize, out: &mut [f32]) {
+        self.accumulate_row(r, out);
+    }
+
+    #[inline]
+    fn adagrad_step(&mut self, r: usize, grad: &[f32], lr: f32, reg: f32) {
+        Table::adagrad_step(self, r, grad, lr, reg);
+    }
+}
+
+/// A [`Table`] checked out into plain `f32`s: the exclusive working storage
+/// of one exact (`threads == 1`) epoch. No atomics, so the row loops
+/// vectorise.
+#[derive(Debug)]
+pub(crate) struct PlainTable {
+    data: Vec<f32>,
+    acc: Vec<f32>,
+    dim: usize,
+}
+
+impl PlainTable {
+    #[inline]
+    fn row(&self, r: usize) -> &[f32] {
+        &self.data[r * self.dim..(r + 1) * self.dim]
+    }
+}
+
+impl RowStore for PlainTable {
+    #[inline]
+    fn read(&self, r: usize, out: &mut [f32]) {
+        out.copy_from_slice(self.row(r));
+    }
+
+    #[inline]
+    fn accumulate(&self, r: usize, out: &mut [f32]) {
+        debug_assert_eq!(out.len(), self.dim);
+        for (o, &v) in out.iter_mut().zip(self.row(r)) {
+            *o += v;
+        }
+    }
+
+    #[inline]
+    fn adagrad_step(&mut self, r: usize, grad: &[f32], lr: f32, reg: f32) {
+        debug_assert_eq!(grad.len(), self.dim);
+        debug_assert_finite_step(r, grad, lr, reg);
+        let row = &mut self.data[r * self.dim..(r + 1) * self.dim];
+        let mut norm2 = 0.0f32;
+        for (&cur, &g) in row.iter().zip(grad) {
+            let eff = g + reg * cur;
+            norm2 += eff * eff;
+        }
+        let acc = &mut self.acc[r];
+        *acc += norm2;
+        let step = lr / (*acc + 1e-6).sqrt();
+        for (cur, &g) in row.iter_mut().zip(grad) {
+            *cur -= step * (g + reg * *cur);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -264,11 +371,11 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_row_scales() {
+    fn accumulate_row_adds() {
         let t = Table::from_fn(1, 3, || 2.0);
         let mut out = [1.0f32; 3];
-        t.accumulate_row(0, 0.5, &mut out);
-        assert_eq!(out, [2.0; 3]);
+        t.accumulate_row(0, &mut out);
+        assert_eq!(out, [3.0; 3]);
     }
 
     #[test]

@@ -10,14 +10,23 @@
 //!
 //! Multi-threading follows the paper exactly: *one retailer per machine*,
 //! threads managed in user code, parameters shared without locks (Hogwild).
+//!
+//! The example step (`train_slice`) is written once, generic over where the
+//! parameters live (`storage::RowStore`). `opts.threads` picks the storage:
+//! a `threads == 1` epoch checks the model's tables out into plain `f32`
+//! tables, runs on those, and checks them back in; Hogwild threads share the
+//! model's atomic tables. Same float evaluation order on both, so trained
+//! bytes do not depend on the storage.
 
 use crate::dataset::Dataset;
-use crate::model::BprModel;
+use crate::model::table::{BRAND, CAT, CAT_CTX, CTX, ITEM, PRICE};
+use crate::model::{dot, price_bucket, BprModel};
 use crate::negative::NegativeSampler;
+use crate::storage::{RowStore, Table};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use sigmund_obs::{Level, Obs, Track};
-use sigmund_types::Catalog;
+use sigmund_types::{Catalog, FeatureSwitches, ItemId};
 
 /// Knobs for a training run.
 #[derive(Debug, Clone, Copy)]
@@ -54,6 +63,29 @@ pub struct EpochStats {
     pub examples: u64,
 }
 
+/// What one slice of examples adds up to.
+#[derive(Debug, Clone, Copy, Default)]
+struct SliceSums {
+    loss: f64,
+    grad: f64,
+    count: u64,
+}
+
+impl SliceSums {
+    fn stats(self) -> EpochStats {
+        let denom = if self.count > 0 {
+            self.count as f64
+        } else {
+            1.0
+        };
+        EpochStats {
+            mean_loss: self.loss / denom,
+            mean_grad: self.grad / denom,
+            examples: self.count,
+        }
+    }
+}
+
 /// Trains `model` in place for `opts.epochs` passes; returns per-epoch stats.
 pub fn train(
     model: &BprModel,
@@ -68,6 +100,10 @@ pub fn train(
 }
 
 /// Runs one epoch (used by the pipeline to interleave checkpointing).
+///
+/// Between calls the trained parameters live in `model`: a `threads == 1`
+/// epoch checks them out at the start and back in at the end, so snapshots,
+/// evaluation and `observe_epoch` between epochs see every update.
 pub fn train_epoch(
     model: &BprModel,
     catalog: &Catalog,
@@ -78,32 +114,26 @@ pub fn train_epoch(
 ) -> EpochStats {
     let n = ds.n_examples();
     if n == 0 {
-        return EpochStats {
-            mean_loss: 0.0,
-            mean_grad: 0.0,
-            examples: 0,
-        };
+        return SliceSums::default().stats();
     }
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    let mut shuffle_rng =
-        StdRng::seed_from_u64(opts.seed ^ (epoch as u64).wrapping_mul(0xA24B_AED4_963E_E407));
-    order.shuffle(&mut shuffle_rng);
+    let order = shuffled_order(n, opts, epoch);
+    let plan = RowPlan::build(catalog, model.hp.features);
 
     let threads = opts.threads.max(1).min(n);
     if threads == 1 {
-        let mut rng = StdRng::seed_from_u64(opts.seed.wrapping_add(epoch as u64));
-        let (loss, grad, count) = train_slice(model, catalog, ds, sampler, &order, &mut rng);
-        let denom = if count > 0 { count as f64 } else { 1.0 };
-        return EpochStats {
-            mean_loss: loss / denom,
-            mean_grad: grad / denom,
-            examples: count,
-        };
+        let mut stores = model.tables().map(Table::checkout);
+        let mut rng = exact_rng(opts, epoch);
+        let sums = train_slice(model, &mut stores, &plan, ds, sampler, &order, &mut rng);
+        for (table, plain) in model.tables().into_iter().zip(&stores) {
+            table.checkin(plain);
+        }
+        return sums.stats();
     }
 
     // Hogwild: split the shuffled order across threads; no locks anywhere.
     let chunk = n.div_ceil(threads);
-    let results: Vec<(f64, f64, u64)> = crossbeam::thread::scope(|scope| {
+    let plan = &plan;
+    let results: Vec<SliceSums> = crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = order
             .chunks(chunk)
             .enumerate()
@@ -114,7 +144,8 @@ pub fn train_epoch(
                             .wrapping_add(epoch as u64)
                             .wrapping_add((t as u64 + 1) << 32),
                     );
-                    train_slice(model, catalog, ds, sampler, slice, &mut rng)
+                    let mut stores = model.tables();
+                    train_slice(model, &mut stores, plan, ds, sampler, slice, &mut rng)
                 })
             })
             .collect();
@@ -127,17 +158,28 @@ pub fn train_epoch(
     })
     .unwrap_or_else(|p| std::panic::resume_unwind(p));
 
-    let (loss, grad, count) = results
+    results
         .into_iter()
-        .fold((0.0, 0.0, 0), |(l, g, c), (l2, g2, c2)| {
-            (l + l2, g + g2, c + c2)
-        });
-    let denom = if count > 0 { count as f64 } else { 1.0 };
-    EpochStats {
-        mean_loss: loss / denom,
-        mean_grad: grad / denom,
-        examples: count,
-    }
+        .fold(SliceSums::default(), |a, b| SliceSums {
+            loss: a.loss + b.loss,
+            grad: a.grad + b.grad,
+            count: a.count + b.count,
+        })
+        .stats()
+}
+
+/// The epoch's example order: every index once, shuffled from the seed.
+fn shuffled_order(n: usize, opts: &TrainOptions, epoch: u32) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    let mut rng =
+        StdRng::seed_from_u64(opts.seed ^ (epoch as u64).wrapping_mul(0xA24B_AED4_963E_E407));
+    order.shuffle(&mut rng);
+    order
+}
+
+/// Negative-sampling stream of an exact (`threads == 1`) epoch.
+fn exact_rng(opts: &TrainOptions, epoch: u32) -> StdRng {
+    StdRng::seed_from_u64(opts.seed.wrapping_add(epoch as u64))
 }
 
 /// Emits one epoch's obs record: a `train`-category span on `track` plus
@@ -185,28 +227,163 @@ pub fn observe_epoch(
     }
 }
 
-/// Processes one slice of example indices; returns (loss sum, gradient-
-/// magnitude sum, count).
-fn train_slice(
+/// One item's feature rows, as filtered by `hp.features`.
+#[derive(Debug)]
+struct ItemRows {
+    /// `RowPlan::cats[cat_start..cat_end]`: the ancestor category rows.
+    cat_start: u32,
+    cat_end: u32,
+    /// Brand row; `None` when the item has no brand or brands are off.
+    brand: Option<u32>,
+    /// Price-bucket row; `None` when the item has no price or prices are off.
+    price: Option<u32>,
+}
+
+/// Every item's parameter rows, resolved once per epoch so the step never
+/// walks the taxonomy, re-tests a feature switch or takes a `price.ln()`.
+#[derive(Debug)]
+struct RowPlan {
+    items: Vec<ItemRows>,
+    /// Category rows of all items back to back, each item's in
+    /// `Taxonomy::ancestors` order; empty with the taxonomy off.
+    cats: Vec<u32>,
+}
+
+impl RowPlan {
+    fn build(catalog: &Catalog, features: FeatureSwitches) -> Self {
+        let mut cats: Vec<u32> = Vec::new();
+        let items = catalog
+            .iter()
+            .map(|(_, meta)| {
+                let cat_start = cats.len() as u32;
+                if features.use_taxonomy {
+                    cats.extend(catalog.taxonomy.ancestors(meta.category).map(|c| c.0));
+                }
+                ItemRows {
+                    cat_start,
+                    cat_end: cats.len() as u32,
+                    brand: meta.brand.filter(|_| features.use_brand).map(|b| b.0),
+                    price: meta
+                        .price
+                        .filter(|_| features.use_price)
+                        .map(|p| price_bucket(p) as u32),
+                }
+            })
+            .collect();
+        Self { items, cats }
+    }
+
+    #[inline]
+    fn rows(&self, item: ItemId) -> (&ItemRows, &[u32]) {
+        let rows = &self.items[item.index()];
+        (
+            rows,
+            &self.cats[rows.cat_start as usize..rows.cat_end as usize],
+        )
+    }
+}
+
+/// [`BprModel::item_rep_into`] over `stores`: same rows, same order.
+fn item_rep<S: RowStore>(stores: &[S; 6], plan: &RowPlan, item: ItemId, out: &mut [f32]) {
+    let (rows, cats) = plan.rows(item);
+    stores[ITEM].read(item.index(), out);
+    for &c in cats {
+        stores[CAT].accumulate(c as usize, out);
+    }
+    if let Some(b) = rows.brand {
+        stores[BRAND].accumulate(b as usize, out);
+    }
+    if let Some(p) = rows.price {
+        stores[PRICE].accumulate(p as usize, out);
+    }
+}
+
+/// [`BprModel::context_rep_into`] over `stores`: same rows, same order.
+fn context_rep<S: RowStore>(stores: &[S; 6], plan: &RowPlan, item: ItemId, out: &mut [f32]) {
+    let (_, cats) = plan.rows(item);
+    stores[CTX].read(item.index(), out);
+    for &c in cats {
+        stores[CAT_CTX].accumulate(c as usize, out);
+    }
+}
+
+/// Steps the item row and every feature row of `item` along `grad`, each
+/// through its own Adagrad accumulator.
+fn step_item<S: RowStore>(
+    stores: &mut [S; 6],
+    plan: &RowPlan,
+    item: ItemId,
+    grad: &[f32],
+    lr: f32,
+    reg: f32,
+) {
+    let (rows, cats) = plan.rows(item);
+    stores[ITEM].adagrad_step(item.index(), grad, lr, reg);
+    // Shared feature rows learn at a damped rate: the representation is a
+    // sum of all active rows, so stepping each by the full gradient would
+    // multiply the effective learning rate by the component count.
+    let n_components =
+        cats.len() + usize::from(rows.brand.is_some()) + usize::from(rows.price.is_some());
+    if n_components == 0 {
+        return;
+    }
+    let lr_f = lr / n_components as f32;
+    for &c in cats {
+        stores[CAT].adagrad_step(c as usize, grad, lr_f, reg);
+    }
+    if let Some(b) = rows.brand {
+        stores[BRAND].adagrad_step(b as usize, grad, lr_f, reg);
+    }
+    if let Some(p) = rows.price {
+        stores[PRICE].adagrad_step(p as usize, grad, lr_f, reg);
+    }
+}
+
+/// Steps one context event's rows (context embedding + its category rows).
+fn step_context<S: RowStore>(
+    stores: &mut [S; 6],
+    plan: &RowPlan,
+    item: ItemId,
+    grad: &[f32],
+    lr: f32,
+    reg: f32,
+) {
+    let (_, cats) = plan.rows(item);
+    stores[CTX].adagrad_step(item.index(), grad, lr, reg);
+    if !cats.is_empty() {
+        let lr_f = lr / cats.len() as f32;
+        for &c in cats {
+            stores[CAT_CTX].adagrad_step(c as usize, grad, lr_f, reg);
+        }
+    }
+}
+
+/// The BPR example step over one slice of example indices, on whichever
+/// storage `stores` is. `model` supplies hyper-parameters and context
+/// weights only — every parameter read and write goes through `stores`,
+/// including the adaptive sampler's candidate scores.
+fn train_slice<S: RowStore>(
     model: &BprModel,
-    catalog: &Catalog,
+    stores: &mut [S; 6],
+    plan: &RowPlan,
     ds: &Dataset,
     sampler: &NegativeSampler<'_>,
     indices: &[u32],
     rng: &mut StdRng,
-) -> (f64, f64, u64) {
+) -> SliceSums {
     let f = model.dim();
     let mut user_vec = vec![0.0f32; f];
     let mut rep_pos = vec![0.0f32; f];
     let mut rep_neg = vec![0.0f32; f];
     let mut grad = vec![0.0f32; f];
+    let mut ctx_grad = vec![0.0f32; f];
     let mut scratch = vec![0.0f32; f];
     let mut weights: Vec<f32> = Vec::new();
-    let lr = model.hp.learning_rate;
+    let hp = &model.hp;
+    let lr = hp.learning_rate;
+    let k = hp.context_len as usize;
 
-    let mut loss_sum = 0.0f64;
-    let mut grad_sum = 0.0f64;
-    let mut count = 0u64;
+    let mut sums = SliceSums::default();
 
     for &idx in indices {
         let e = ds.examples.examples[idx as usize];
@@ -214,12 +391,24 @@ fn train_slice(
         if ctx_full.is_empty() {
             continue;
         }
-        model.user_embedding_into(catalog, ctx_full, &mut weights, &mut scratch, &mut user_vec);
-        let Some(neg) = sampler.sample(ds, model, &e, &user_vec, &mut scratch, rng) else {
+        // Eq. 1 over the trailing K events, as `BprModel::user_embedding_into`.
+        let ctx = &ctx_full[ctx_full.len().saturating_sub(k)..];
+        model.context_weights(ctx, &mut weights);
+        user_vec.fill(0.0);
+        for ((item, _), &w) in ctx.iter().zip(weights.iter()) {
+            context_rep(stores, plan, *item, &mut scratch);
+            for (o, s) in user_vec.iter_mut().zip(scratch.iter()) {
+                *o += w * s;
+            }
+        }
+        let Some(neg) = sampler.sample(ds, &e, rng, |j| {
+            item_rep(stores, plan, j, &mut scratch);
+            dot(&user_vec, &scratch)
+        }) else {
             continue;
         };
-        model.item_rep_into(catalog, e.pos, &mut rep_pos);
-        model.item_rep_into(catalog, neg, &mut rep_neg);
+        item_rep(stores, plan, e.pos, &mut rep_pos);
+        item_rep(stores, plan, neg, &mut rep_neg);
         let s: f32 = user_vec
             .iter()
             .zip(rep_pos.iter().zip(rep_neg.iter()))
@@ -232,47 +421,43 @@ fn train_slice(
         } else {
             -s + (s.exp()).ln_1p()
         };
-        loss_sum += loss as f64;
-        count += 1;
+        sums.loss += loss as f64;
+        sums.count += 1;
         let sig = 1.0 / (1.0 + s.exp()); // σ(−s): gradient magnitude
-        grad_sum += f64::from(sig);
+        sums.grad += f64::from(sig);
 
         // Positive item rows: dL/d rep_pos = −σ(−s)·u.
         for (g, u) in grad.iter_mut().zip(user_vec.iter()) {
             *g = -sig * u;
         }
-        model.apply_item_grad(catalog, e.pos, &grad, lr);
+        step_item(stores, plan, e.pos, &grad, lr, hp.reg_item);
         // Negative item rows: dL/d rep_neg = +σ(−s)·u.
         for g in grad.iter_mut() {
             *g = -*g;
         }
-        model.apply_item_grad(catalog, neg, &grad, lr);
+        step_item(stores, plan, neg, &grad, lr, hp.reg_item);
         // Context rows: dL/du = −σ(−s)·(rep_pos − rep_neg), scaled by each
-        // event's context weight. Recompute the effective trailing window the
-        // same way user_embedding_into does.
-        let k = model.hp.context_len as usize;
-        let ctx = if ctx_full.len() > k {
-            &ctx_full[ctx_full.len() - k..]
-        } else {
-            ctx_full
-        };
-        // `weights` currently matches `ctx` (user_embedding_into filled it).
+        // event's context weight (`weights` still matches `ctx`). The
+        // unweighted part is the same for every event of the example.
+        for (g, (p, n)) in ctx_grad.iter_mut().zip(rep_pos.iter().zip(rep_neg.iter())) {
+            *g = -sig * (p - n);
+        }
         for ((item, _), &w) in ctx.iter().zip(weights.iter()) {
-            for (g, (p, n)) in grad.iter_mut().zip(rep_pos.iter().zip(rep_neg.iter())) {
-                *g = -sig * (p - n) * w;
+            for (g, c) in grad.iter_mut().zip(ctx_grad.iter()) {
+                *g = c * w;
             }
-            model.apply_context_grad(catalog, *item, &grad, lr);
+            step_context(stores, plan, *item, &grad, lr, hp.reg_context);
         }
     }
-    (loss_sum, grad_sum, count)
+    sums
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sigmund_types::{
-        ActionType, HyperParams, Interaction, ItemId, ItemMeta, NegativeSamplerKind, RetailerId,
-        Taxonomy, UserId,
+        ActionType, BrandId, HyperParams, Interaction, ItemId, ItemMeta, NegativeSamplerKind,
+        RetailerId, Taxonomy, UserId,
     };
 
     fn catalog(n: usize) -> Catalog {
@@ -505,5 +690,250 @@ mod tests {
         let quiet = Obs::recording(Level::Info);
         observe_epoch(&quiet, Track::machine(0, 0), 10.0, 12.0, 0, &stats, &m);
         assert_eq!(quiet.event_count(), 0);
+    }
+
+    // --- storage invariance: one step, two storages, the same bytes -------
+
+    fn all_feature_switches() -> Vec<FeatureSwitches> {
+        (0..8u8)
+            .map(|m| FeatureSwitches {
+                use_taxonomy: m & 1 != 0,
+                use_brand: m & 2 != 0,
+                use_price: m & 4 != 0,
+            })
+            .collect()
+    }
+
+    /// Three taxonomy levels; every 4th item has no brand, every 5th no
+    /// price, item 7 neither.
+    fn rich_catalog(n: usize) -> Catalog {
+        let mut t = Taxonomy::new();
+        let a = t.add_child(t.root());
+        let a1 = t.add_child(a);
+        let a2 = t.add_child(a);
+        let b = t.add_child(t.root());
+        let cats = [a1, a2, b, a, t.root()];
+        let mut c = Catalog::new(RetailerId(0), t);
+        for i in 0..n {
+            c.add_item(ItemMeta {
+                category: cats[i % cats.len()],
+                brand: (i % 4 != 0 && i != 7).then_some(BrandId((i % 3) as u32)),
+                price: (i % 5 != 0 && i != 7).then_some(3.0 + i as f32 * 17.0),
+                facet: None,
+            });
+        }
+        c
+    }
+
+    /// Sessions mixing all four action levels, so the example set carries
+    /// strength constraints next to the next-item examples.
+    fn rich_dataset(n_items: usize, n_users: usize) -> Dataset {
+        let mut evs = Vec::new();
+        for u in 0..n_users {
+            for s in 0..7 {
+                evs.push(Interaction::new(
+                    UserId(u as u32),
+                    ItemId(((u * 5 + s * 3) % n_items) as u32),
+                    ActionType::ALL[(u + s) % 4],
+                    s as u64,
+                ));
+            }
+        }
+        let ds = Dataset::build(n_items, evs, false);
+        assert!(ds
+            .examples
+            .examples
+            .iter()
+            .any(|e| matches!(e.kind, crate::dataset::ExampleKind::Strength { .. })));
+        ds
+    }
+
+    /// Every parameter and Adagrad accumulator of a model, as bits.
+    fn model_bits(m: &BprModel) -> Vec<Vec<u32>> {
+        m.tables()
+            .iter()
+            .flat_map(|t| [t.to_vec(), t.acc_to_vec()])
+            .map(|v| v.into_iter().map(f32::to_bits).collect())
+            .collect()
+    }
+
+    /// `train_epoch` at `threads: 1` minus the checkout: the same exact epoch
+    /// run directly on the model's atomic tables.
+    fn atomic_epoch(
+        model: &BprModel,
+        catalog: &Catalog,
+        ds: &Dataset,
+        sampler: &NegativeSampler<'_>,
+        opts: &TrainOptions,
+        epoch: u32,
+    ) -> EpochStats {
+        let order = shuffled_order(ds.n_examples(), opts, epoch);
+        let plan = RowPlan::build(catalog, model.hp.features);
+        let mut rng = exact_rng(opts, epoch);
+        train_slice(
+            model,
+            &mut model.tables(),
+            &plan,
+            ds,
+            sampler,
+            &order,
+            &mut rng,
+        )
+        .stats()
+    }
+
+    #[test]
+    fn row_plan_reps_match_model_reps() {
+        let c = rich_catalog(24);
+        for features in all_feature_switches() {
+            let m = BprModel::init(&c, HyperParams { features, ..hp() });
+            let plan = RowPlan::build(&c, features);
+            let (mut want, mut got) = (vec![0.0f32; 8], vec![0.0f32; 8]);
+            for item in c.item_ids() {
+                m.item_rep_into(&c, item, &mut want);
+                item_rep(&m.tables(), &plan, item, &mut got);
+                assert_eq!(want, got, "item rep of {item} under {features:?}");
+                m.context_rep_into(&c, item, &mut want);
+                context_rep(&m.tables(), &plan, item, &mut got);
+                assert_eq!(want, got, "context rep of {item} under {features:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn storage_invariance_over_features_and_samplers() {
+        let c = rich_catalog(24);
+        let ds = rich_dataset(24, 16);
+        let opts = TrainOptions {
+            epochs: 2,
+            threads: 1,
+            seed: 11,
+        };
+        for features in all_feature_switches() {
+            for kind in [
+                NegativeSamplerKind::UniformUnseen,
+                NegativeSamplerKind::TaxonomyAware,
+                NegativeSamplerKind::Adaptive,
+            ] {
+                let sampler = NegativeSampler::new(kind, &c, None);
+                let h = HyperParams { features, ..hp() };
+                let plain = BprModel::init(&c, h.clone());
+                let atomic = BprModel::init(&c, h);
+                for epoch in 0..opts.epochs {
+                    let sp = train_epoch(&plain, &c, &ds, &sampler, &opts, epoch);
+                    let sa = atomic_epoch(&atomic, &c, &ds, &sampler, &opts, epoch);
+                    assert_eq!(sp, sa, "{features:?} {kind:?} epoch {epoch}");
+                    assert!(sp.examples > 0);
+                    assert_eq!(
+                        model_bits(&plain),
+                        model_bits(&atomic),
+                        "{features:?} {kind:?} epoch {epoch}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The adaptive sampler must score the parameters the epoch is mutating.
+    /// The checked-in copy is poisoned right after checkout: one read of it
+    /// anywhere in the step (user vector, reps, candidate scores) and the
+    /// plain run no longer equals the atomic one.
+    #[test]
+    fn storage_invariance_adaptive_sampler_reads_live_parameters() {
+        let c = rich_catalog(24);
+        let ds = rich_dataset(24, 16);
+        let opts = TrainOptions {
+            epochs: 1,
+            threads: 1,
+            seed: 23,
+        };
+        let sampler = NegativeSampler::new(NegativeSamplerKind::Adaptive, &c, None);
+        let h = HyperParams {
+            features: FeatureSwitches::ALL,
+            ..hp()
+        };
+        let plain = BprModel::init(&c, h.clone());
+        let atomic = BprModel::init(&c, h);
+        // One ordinary epoch first, so the second starts from moved rows.
+        train_epoch(&plain, &c, &ds, &sampler, &opts, 0);
+        atomic_epoch(&atomic, &c, &ds, &sampler, &opts, 0);
+
+        let mut stores = plain.tables().map(Table::checkout);
+        for t in plain.tables() {
+            t.load_from(&vec![f32::NAN; t.rows() * t.dim()]);
+        }
+        let order = shuffled_order(ds.n_examples(), &opts, 1);
+        let plan = RowPlan::build(&c, plain.hp.features);
+        let mut rng = exact_rng(&opts, 1);
+        let sp = train_slice(&plain, &mut stores, &plan, &ds, &sampler, &order, &mut rng).stats();
+        for (table, checked_out) in plain.tables().into_iter().zip(&stores) {
+            table.checkin(checked_out);
+        }
+        let sa = atomic_epoch(&atomic, &c, &ds, &sampler, &opts, 1);
+        assert_eq!(sp, sa);
+        assert_eq!(model_bits(&plain), model_bits(&atomic));
+    }
+
+    #[test]
+    fn epoch_by_epoch_equals_train() {
+        let c = rich_catalog(24);
+        let ds = rich_dataset(24, 16);
+        let opts = TrainOptions {
+            epochs: 3,
+            threads: 1,
+            seed: 5,
+        };
+        let sampler = NegativeSampler::new(NegativeSamplerKind::Adaptive, &c, None);
+        let h = HyperParams {
+            features: FeatureSwitches::ALL,
+            ..hp()
+        };
+        let whole = BprModel::init(&c, h.clone());
+        let stats = train(&whole, &c, &ds, &sampler, opts);
+        let stepped = BprModel::init(&c, h);
+        let stepped_stats: Vec<EpochStats> = (0..3)
+            .map(|e| train_epoch(&stepped, &c, &ds, &sampler, &opts, e))
+            .collect();
+        assert_eq!(stats, stepped_stats);
+        assert_eq!(model_bits(&whole), model_bits(&stepped));
+    }
+
+    #[test]
+    fn checkpoint_resume_equals_uninterrupted() {
+        use crate::snapshot::ModelSnapshot;
+        let c = rich_catalog(24);
+        let ds = rich_dataset(24, 16);
+        let opts = TrainOptions {
+            epochs: 3,
+            threads: 1,
+            seed: 7,
+        };
+        let sampler = NegativeSampler::new(NegativeSamplerKind::UniformUnseen, &c, None);
+        let h = HyperParams {
+            features: FeatureSwitches::ALL,
+            ..hp()
+        };
+        let straight = BprModel::init(&c, h.clone());
+        train(&straight, &c, &ds, &sampler, opts);
+        for k in 0..opts.epochs {
+            // Epochs 0..=k, capture, restore into a new model, run the rest.
+            let first = BprModel::init(&c, h.clone());
+            for e in 0..=k {
+                train_epoch(&first, &c, &ds, &sampler, &opts, e);
+            }
+            let blob = ModelSnapshot::capture(&first).to_bytes();
+            let resumed = ModelSnapshot::from_bytes(&blob)
+                .unwrap()
+                .restore(&c, 99)
+                .unwrap();
+            for e in k + 1..opts.epochs {
+                train_epoch(&resumed, &c, &ds, &sampler, &opts, e);
+            }
+            assert_eq!(
+                model_bits(&straight),
+                model_bits(&resumed),
+                "capture after epoch {k}"
+            );
+        }
     }
 }

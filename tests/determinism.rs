@@ -8,6 +8,17 @@
 //! training runs single-threaded. The service tests below pin `threads: 1`;
 //! a companion test documents that multi-threaded runs stay *valid* (same
 //! shapes, finite metrics) while differing bitwise.
+//!
+//! Which storage an exact epoch runs on is not an exception: `threads: 1`
+//! trains on plain `f32` tables checked out of the model, Hogwild on the
+//! model's atomic tables, through one generic step. That both storages
+//! train the same bytes is proven next to the step, where the atomic path
+//! can be forced at one thread — `crates/core/src/train.rs`:
+//! `storage_invariance_over_features_and_samplers` (tables, Adagrad
+//! accumulators and `EpochStats` at `to_bits` level, 8 feature sets × 3
+//! samplers, strength constraints, missing brand/price),
+//! `storage_invariance_adaptive_sampler_reads_live_parameters`,
+//! `epoch_by_epoch_equals_train` and `checkpoint_resume_equals_uninterrupted`.
 
 use sigmund_cluster::{CellSpec, PreemptionModel};
 use sigmund_core::prelude::*;
