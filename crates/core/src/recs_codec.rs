@@ -14,7 +14,8 @@
 //! ever parsed.
 
 use crate::inference::ItemRecs;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
+use sigmund_types::wire::{Reader, Writer};
 use sigmund_types::{ItemId, SigmundError};
 
 /// Magic bytes tagging a binary recommendation-table blob (vs legacy JSON).
@@ -28,58 +29,37 @@ pub fn encode_recs(recs: &[ItemRecs]) -> Bytes {
         .iter()
         .map(|r| r.view_based.len() + r.purchase_based.len())
         .sum();
-    let mut buf = BytesMut::with_capacity(8 + recs.len() * 8 + entries * 8);
-    buf.put_slice(RECS_MAGIC);
-    buf.put_u32_le(u32::try_from(recs.len()).unwrap_or(u32::MAX));
-    for r in recs {
+    let mut w = Writer::with_capacity(RECS_MAGIC, 8 + recs.len() * 8 + entries * 8);
+    w.list(recs.iter(), |w, r| {
         for list in [&r.view_based, &r.purchase_based] {
-            buf.put_u32_le(u32::try_from(list.len()).unwrap_or(u32::MAX));
-            for &(item, score) in list {
-                buf.put_u32_le(item.0);
-                buf.put_f32_le(score);
-            }
+            w.list(list.iter(), |w, &(item, score)| {
+                w.u32(item.0);
+                w.f32(score);
+            });
         }
-    }
-    buf.freeze()
+    });
+    Bytes::from(w.finish())
 }
 
 /// Decodes a binary recommendation table (see [`encode_recs`]).
 ///
 /// # Errors
 /// [`SigmundError::Corrupt`] on malformed bytes.
-pub fn decode_recs(mut b: &[u8]) -> Result<Vec<ItemRecs>, SigmundError> {
-    let corrupt = |m: &str| SigmundError::Corrupt(format!("recs blob: {m}"));
-    if b.remaining() < 8 || &b[..4] != RECS_MAGIC {
-        return Err(corrupt("missing magic"));
-    }
-    b.advance(4);
-    let n = b.get_u32_le() as usize;
-    let get_list = |b: &mut &[u8]| -> Result<Vec<(ItemId, f32)>, SigmundError> {
-        if b.remaining() < 4 {
-            return Err(corrupt("truncated list length"));
-        }
-        let k = b.get_u32_le() as usize;
-        if b.remaining() < k.checked_mul(8).ok_or_else(|| corrupt("list overflows"))? {
-            return Err(corrupt("truncated list"));
-        }
-        let mut out = Vec::with_capacity(k);
-        for _ in 0..k {
-            out.push((ItemId(b.get_u32_le()), b.get_f32_le()));
-        }
-        Ok(out)
+pub fn decode_recs(b: &[u8]) -> Result<Vec<ItemRecs>, SigmundError> {
+    let mut r = Reader::open("recs blob", RECS_MAGIC, b)?;
+    let list = |r: &mut Reader| {
+        r.list(8, "truncated list", |r| {
+            Ok((ItemId(r.u32("truncated list")?), r.f32("truncated list")?))
+        })
     };
-    let mut out = Vec::new();
-    for _ in 0..n {
-        let view_based = get_list(&mut b)?;
-        let purchase_based = get_list(&mut b)?;
-        out.push(ItemRecs {
-            view_based,
-            purchase_based,
-        });
-    }
-    if b.has_remaining() {
-        return Err(corrupt("trailing bytes"));
-    }
+    // An item is at least its two list lengths; a list entry is 8 bytes.
+    let out = r.list(8, "truncated item count", |r| {
+        Ok(ItemRecs {
+            view_based: list(r)?,
+            purchase_based: list(r)?,
+        })
+    })?;
+    r.finish()?;
     Ok(out)
 }
 

@@ -6,24 +6,22 @@
 //! resumed run continues with the right per-row learning rates (incremental
 //! runs, by contrast, deliberately reset the accumulators).
 //!
-//! The format is a compact little-endian binary built with `bytes`:
+//! The format is a sealed `sigmund_types::wire` frame:
 //!
 //! ```text
 //! magic "SGMD" | version u32 | retailer u32 | hp (length-prefixed)
-//! | 6 tables: rows u32, dim u32, data f32*, acc f32*
-//! | checksum u64 (v2+: FNV-1a 64 over every preceding byte)
+//! | table count u32 | 6 tables: rows u32, dim u32, data f32*, acc f32*
+//! | checksum u64 (FNV-1a 64 over every preceding byte)
 //! ```
 //!
-//! Version 2 appends a trailing payload checksum, verified *before* any
-//! field is parsed, so a snapshot mutated anywhere — header, hyper-params,
-//! or a single f32 bit that would otherwise parse fine — is rejected as
+//! The trailing checksum is verified *before* any field is parsed, so a
+//! snapshot mutated anywhere — header, hyper-params, or a single f32 bit
+//! that would otherwise parse fine — is rejected as
 //! [`SigmundError::Corrupt`] instead of restoring a silently-wrong model.
-//! Version 3 (current) keeps the v2 envelope but encodes the
-//! hyper-parameters with [`HyperParams::to_wire`] instead of JSON: encoding
-//! is infallible (no panic surface), needs no serde backend at runtime, and
-//! is what lets `bench_fleet` drive the full daily loop serde-free.
-//! Version 1 (no checksum) and version 2 (JSON hyper-params) snapshots
-//! remain readable through explicit compat paths.
+//! The hyper-parameters are the fixed-width [`HyperParams::to_wire`] record:
+//! encoding is infallible (no panic surface) and needs no serde backend at
+//! runtime. Version 3 is the only one any code in the tree writes; every
+//! other version is `Corrupt`.
 //! Structural validity beyond parsing is a separate concern:
 //! [`ModelSnapshot::validate`] checks finiteness, row norms, and shape
 //! consistency, and is what the pipeline's admission gate runs before a
@@ -31,17 +29,12 @@
 
 use crate::model::BprModel;
 use crate::storage::Table;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use sigmund_types::{fnv1a64, Catalog, HyperParams, RetailerId, SigmundError};
+use bytes::Bytes;
+use sigmund_types::wire::{Reader, Writer};
+use sigmund_types::{Catalog, HyperParams, RetailerId, SigmundError};
 
 const MAGIC: &[u8; 4] = b"SGMD";
 const VERSION: u32 = 3;
-/// The JSON-hyper-params format, kept readable for models written before the
-/// serde-free wire codec.
-const VERSION_V2: u32 = 2;
-/// The pre-checksum format, kept readable for checkpoints written before the
-/// integrity framing existed.
-const VERSION_V1: u32 = 1;
 
 /// Upper bound on any embedding row's L2 norm accepted by
 /// [`ModelSnapshot::validate`]. Healthy BPR embeddings sit orders of
@@ -81,9 +74,12 @@ impl ModelSnapshot {
         let tables = model
             .tables()
             .iter()
+            // Saturating, not `as`: real tables are orders of magnitude
+            // below `u32::MAX` rows, and `validate`'s shape cross-check
+            // rejects the (unreachable) clamped case.
             .map(|t| TableSnapshot {
-                rows: wire_u32(t.rows()),
-                dim: wire_u32(t.dim()),
+                rows: u32::try_from(t.rows()).unwrap_or(u32::MAX),
+                dim: u32::try_from(t.dim()).unwrap_or(u32::MAX),
                 data: t.to_vec(),
                 acc: t.acc_to_vec(),
             })
@@ -209,150 +205,68 @@ impl ModelSnapshot {
         Ok(())
     }
 
-    /// Serializes to bytes (format v3: wire-encoded hyper-parameters).
+    /// Serializes to bytes.
     pub fn to_bytes(&self) -> Bytes {
-        let hp_wire = self.hp.to_wire();
         let payload: usize = self
             .tables
             .iter()
             .map(|t| 8 + t.data.len() * 4 + t.acc.len() * 4)
             .sum();
-        let mut buf = BytesMut::with_capacity(16 + hp_wire.len() + payload);
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u32_le(self.retailer.0);
-        buf.put_u32_le(wire_u32(hp_wire.len()));
-        buf.put_slice(&hp_wire);
-        buf.put_u32_le(wire_u32(self.tables.len()));
-        for t in &self.tables {
-            buf.put_u32_le(t.rows);
-            buf.put_u32_le(t.dim);
-            for &v in &t.data {
-                buf.put_f32_le(v);
-            }
-            for &v in &t.acc {
-                buf.put_f32_le(v);
-            }
-        }
-        let checksum = fnv1a64(&buf);
-        buf.put_u64_le(checksum);
-        buf.freeze()
+        let mut w = Writer::with_capacity(MAGIC, 28 + HyperParams::WIRE_LEN + payload);
+        w.u32(VERSION);
+        w.u32(self.retailer.0);
+        w.bytes(&self.hp.to_wire());
+        w.list(self.tables.iter(), |w, t| {
+            w.u32(t.rows);
+            w.u32(t.dim);
+            w.f32s(&t.data);
+            w.f32s(&t.acc);
+        });
+        Bytes::from(w.seal())
     }
 
-    /// Deserializes from bytes.
-    ///
-    /// For v2+ snapshots the trailing payload checksum is verified before
-    /// anything else is parsed; v1 snapshots take the explicit no-checksum
-    /// compat path. v1/v2 carry JSON hyper-parameters, v3 the wire codec.
+    /// Deserializes from bytes. The trailing payload checksum is verified
+    /// before anything else is parsed.
     ///
     /// # Errors
     /// Returns [`SigmundError::Corrupt`] on any malformed input, including a
-    /// checksum mismatch.
+    /// checksum mismatch or an unknown format version.
     pub fn from_bytes(raw: &[u8]) -> Result<Self, SigmundError> {
-        let corrupt = |m: &str| SigmundError::Corrupt(format!("model snapshot: {m}"));
-        if raw.len() < 8 {
-            return Err(corrupt("truncated header"));
+        let mut r = Reader::open_sealed("model snapshot", MAGIC, raw)?;
+        let version = r.u32("truncated header")?;
+        if version != VERSION {
+            return Err(r.corrupt(format_args!("unsupported version {version}")));
         }
-        if &raw[..4] != MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        let version = (&raw[4..8]).get_u32_le();
-        let body = match version {
-            VERSION | VERSION_V2 => {
-                if raw.len() < 16 {
-                    return Err(corrupt("truncated checksum"));
-                }
-                let (payload, tail) = raw.split_at(raw.len() - 8);
-                if fnv1a64(payload) != (&tail[..]).get_u64_le() {
-                    return Err(corrupt("payload checksum mismatch"));
-                }
-                &payload[8..]
-            }
-            VERSION_V1 => &raw[8..],
-            v => return Err(corrupt(&format!("unsupported version {v}"))),
-        };
-        Self::parse_body(body, version == VERSION)
-    }
-
-    /// Parses everything after the magic + version header (and before the
-    /// v2+ checksum, already stripped and verified by the caller).
-    /// `wire_hp` selects the v3 hyper-parameter codec over v1/v2 JSON.
-    fn parse_body(mut b: &[u8], wire_hp: bool) -> Result<Self, SigmundError> {
-        let corrupt = |m: &str| SigmundError::Corrupt(format!("model snapshot: {m}"));
-        if b.remaining() < 8 {
-            return Err(corrupt("truncated header"));
-        }
-        let retailer = RetailerId(b.get_u32_le());
-        let hp_len = b.get_u32_le() as usize;
-        if b.remaining() < hp_len {
-            return Err(corrupt("truncated hyper-parameters"));
-        }
-        let hp: HyperParams = if wire_hp {
-            HyperParams::from_wire(&b[..hp_len])?
-        } else {
-            serde_json::from_slice(&b[..hp_len])
-                .map_err(|e| corrupt(&format!("hyper-parameters: {e}")))?
-        };
-        b.advance(hp_len);
-        if b.remaining() < 4 {
-            return Err(corrupt("missing table count"));
-        }
-        let n_tables = b.get_u32_le() as usize;
+        let retailer = RetailerId(r.u32("truncated header")?);
+        let hp = HyperParams::from_wire(r.bytes("truncated hyper-parameters")?)?;
+        let n_tables = r.len(8, "truncated table count")?;
         if n_tables > 16 {
-            return Err(corrupt("implausible table count"));
+            return Err(r.corrupt("implausible table count"));
         }
         let mut tables = Vec::with_capacity(n_tables);
         for _ in 0..n_tables {
-            if b.remaining() < 8 {
-                return Err(corrupt("truncated table header"));
-            }
-            let rows = b.get_u32_le();
-            let dim = b.get_u32_le();
-            // Checked arithmetic: an adversarial header must not wrap these
-            // into a small "needed bytes" figure that the remaining-bytes
-            // check happily accepts (or a capacity that aborts the process).
+            let rows = r.u32("truncated table header")?;
+            let dim = r.u32("truncated table header")?;
+            // Checked arithmetic: an adversarial header must not wrap into a
+            // small element count that the reader's bounds check happily
+            // accepts (or a capacity that aborts the process).
             let n_data = (rows as usize)
                 .checked_mul(dim as usize)
-                .ok_or_else(|| corrupt("table shape overflows"))?;
-            let needed = n_data
-                .checked_add(rows as usize)
-                .and_then(|n| n.checked_mul(4))
-                .ok_or_else(|| corrupt("table shape overflows"))?;
-            if b.remaining() < needed {
-                return Err(corrupt("truncated table payload"));
-            }
-            let mut data = Vec::with_capacity(n_data);
-            for _ in 0..n_data {
-                data.push(b.get_f32_le());
-            }
-            let mut acc = Vec::with_capacity(rows as usize);
-            for _ in 0..rows {
-                acc.push(b.get_f32_le());
-            }
+                .ok_or_else(|| r.corrupt("table shape overflows"))?;
             tables.push(TableSnapshot {
                 rows,
                 dim,
-                data,
-                acc,
+                data: r.f32s(n_data, "truncated table payload")?,
+                acc: r.f32s(rows as usize, "truncated table payload")?,
             });
         }
-        if b.has_remaining() {
-            return Err(corrupt("trailing bytes"));
-        }
+        r.finish()?;
         Ok(Self {
             retailer,
             hp,
             tables,
         })
     }
-}
-
-/// Clamps a length to a `u32` wire field without a silent `as` truncation.
-/// Real tables are orders of magnitude below `u32::MAX` rows; saturation
-/// keeps the encoder total, and the decode-side length cross-checks reject
-/// the (unreachable) overflow case.
-fn wire_u32(n: usize) -> u32 {
-    u32::try_from(n).unwrap_or(u32::MAX)
 }
 
 /// Restores one table's leading rows from a snapshot (the live table may have
@@ -468,30 +382,6 @@ mod tests {
         assert!(ModelSnapshot::from_bytes(&[]).is_err());
     }
 
-    /// Serializes `snap` in the pre-checksum v1 layout, byte-for-byte what
-    /// `to_bytes` produced before the format bump.
-    fn to_v1_bytes(snap: &ModelSnapshot) -> Vec<u8> {
-        let hp_json = serde_json::to_vec(&snap.hp).unwrap();
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION_V1);
-        buf.put_u32_le(snap.retailer.0);
-        buf.put_u32_le(wire_u32(hp_json.len()));
-        buf.put_slice(&hp_json);
-        buf.put_u32_le(snap.tables.len() as u32);
-        for t in &snap.tables {
-            buf.put_u32_le(t.rows);
-            buf.put_u32_le(t.dim);
-            for &v in &t.data {
-                buf.put_f32_le(v);
-            }
-            for &v in &t.acc {
-                buf.put_f32_le(v);
-            }
-        }
-        buf.to_vec()
-    }
-
     #[test]
     fn current_version_carries_verified_checksum() {
         let snap = ModelSnapshot::capture(&model(&catalog(5)));
@@ -506,79 +396,27 @@ mod tests {
     }
 
     #[test]
-    fn v1_snapshots_stay_readable_through_compat_path() {
-        if serde_json::from_str::<u32>("1").is_err() {
-            eprintln!("skipping: serde_json backend is stubbed in this environment");
-            return;
-        }
-        let c = catalog(8);
-        let m = model(&c);
-        m.tables()[0].adagrad_step(1, &[0.5, -0.25, 0.0, 1.0], 0.1, 0.01);
-        let snap = ModelSnapshot::capture(&m);
-        let v1 = to_v1_bytes(&snap);
-        let back = ModelSnapshot::from_bytes(&v1).unwrap();
-        assert_eq!(back, snap);
-        // ...but a v1 payload has no checksum, so only structural checks
-        // apply: truncating it is still caught the old way.
-        assert!(ModelSnapshot::from_bytes(&v1[..v1.len() - 2]).is_err());
-    }
-
-    #[test]
     fn unknown_versions_are_rejected() {
         let snap = ModelSnapshot::capture(&model(&catalog(3)));
         let mut bytes = snap.to_bytes().to_vec();
         bytes[4] = 99;
-        // The parser sees version 99 before the checksum could vouch for it.
-        let err = ModelSnapshot::from_bytes(&bytes).unwrap_err();
-        assert!(
-            format!("{err:?}").contains("unsupported version"),
-            "{err:?}"
-        );
-    }
-
-    /// Serializes `snap` in the v2 layout (checksummed envelope, JSON
-    /// hyper-params), byte-for-byte what `to_bytes` produced before v3.
-    fn to_v2_bytes(snap: &ModelSnapshot) -> Vec<u8> {
-        let hp_json = serde_json::to_vec(&snap.hp).unwrap();
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION_V2);
-        buf.put_u32_le(snap.retailer.0);
-        buf.put_u32_le(wire_u32(hp_json.len()));
-        buf.put_slice(&hp_json);
-        buf.put_u32_le(snap.tables.len() as u32);
-        for t in &snap.tables {
-            buf.put_u32_le(t.rows);
-            buf.put_u32_le(t.dim);
-            for &v in &t.data {
-                buf.put_f32_le(v);
-            }
-            for &v in &t.acc {
-                buf.put_f32_le(v);
-            }
+        // Not re-sealed, the edit is refused by the trailer, whatever it says.
+        assert!(matches!(
+            ModelSnapshot::from_bytes(&bytes),
+            Err(SigmundError::Corrupt(_))
+        ));
+        // A validly sealed frame of another version (the retired v1/v2
+        // layouts included) is refused by the version check itself.
+        for version in [99, 2, 1, 0] {
+            let mut w = Writer::new(MAGIC);
+            w.u32(version);
+            w.raw(&bytes[8..bytes.len() - 8]);
+            let err = ModelSnapshot::from_bytes(&w.seal()).unwrap_err();
+            assert!(
+                matches!(&err, SigmundError::Corrupt(m) if m.contains("unsupported version")),
+                "{err:?}"
+            );
         }
-        let checksum = fnv1a64(&buf);
-        buf.put_u64_le(checksum);
-        buf.to_vec()
-    }
-
-    #[test]
-    fn v2_snapshots_stay_readable_through_compat_path() {
-        if serde_json::from_str::<u32>("1").is_err() {
-            eprintln!("skipping: serde_json backend is stubbed in this environment");
-            return;
-        }
-        let c = catalog(8);
-        let m = model(&c);
-        m.tables()[0].adagrad_step(2, &[0.5, -0.25, 0.0, 1.0], 0.1, 0.01);
-        let snap = ModelSnapshot::capture(&m);
-        let v2 = to_v2_bytes(&snap);
-        let back = ModelSnapshot::from_bytes(&v2).unwrap();
-        assert_eq!(back, snap);
-        // The v2 checksum still guards the v2 payload.
-        let mut flipped = v2.clone();
-        flipped[10] ^= 1;
-        assert!(ModelSnapshot::from_bytes(&flipped).is_err());
     }
 
     #[test]
@@ -614,18 +452,14 @@ mod tests {
             (1u32 << 31, 1u32 << 31),
             (u32::MAX, 1),
         ] {
-            let mut buf = BytesMut::new();
-            buf.put_slice(MAGIC);
-            buf.put_u32_le(VERSION);
-            buf.put_u32_le(3);
-            buf.put_u32_le(wire_u32(hp_wire.len()));
-            buf.put_slice(&hp_wire);
-            buf.put_u32_le(1);
-            buf.put_u32_le(rows);
-            buf.put_u32_le(dim);
-            let crc = sigmund_types::fnv1a64(&buf);
-            buf.put_u64_le(crc);
-            let err = ModelSnapshot::from_bytes(&buf).unwrap_err();
+            let mut w = Writer::new(MAGIC);
+            w.u32(VERSION);
+            w.u32(3);
+            w.bytes(&hp_wire);
+            w.u32(1);
+            w.u32(rows);
+            w.u32(dim);
+            let err = ModelSnapshot::from_bytes(&w.seal()).unwrap_err();
             let msg = format!("{err:?}");
             assert!(
                 msg.contains("overflows") || msg.contains("truncated table payload"),

@@ -10,7 +10,8 @@
 //! much progress the checkpoint represents.
 
 use crate::Dfs;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
+use sigmund_types::wire::{Reader, Writer};
 use sigmund_types::{CellId, SigmundError};
 
 /// Writes and reads the single live checkpoint under a task's directory.
@@ -57,14 +58,14 @@ impl<'a> CheckpointStore<'a> {
             Some(c) => c.seq + 1,
             None => 0,
         };
-        let mut buf = BytesMut::with_capacity(16 + payload.len());
-        buf.put_u64_le(seq);
-        buf.put_u64_le(progress);
-        buf.put_slice(payload);
+        let mut w = Writer::with_capacity(b"", 16 + payload.len());
+        w.u64(seq);
+        w.u64(progress);
+        w.raw(payload);
         let tmp = self.tmp_path();
         // A faulted temp write aborts the publish; the previous LIVE
         // checkpoint is untouched, so readers never observe the torn state.
-        self.dfs.write(self.cell, &tmp, buf.freeze())?;
+        self.dfs.write(self.cell, &tmp, Bytes::from(w.finish()))?;
         // Atomic publish: replaces (== garbage-collects) the old checkpoint.
         self.dfs.rename(&tmp, &self.live_path())?;
         Ok(seq)
@@ -80,13 +81,13 @@ impl<'a> CheckpointStore<'a> {
             return Ok(None);
         }
         let mut bytes = self.dfs.read(self.cell, &path)?;
-        if bytes.len() < 16 {
-            return Err(SigmundError::Corrupt(format!(
-                "checkpoint {path} too short"
-            )));
-        }
-        let seq = bytes.get_u64_le();
-        let progress = bytes.get_u64_le();
+        let mut r = Reader::open("checkpoint", b"", &bytes)?;
+        let seq = r.u64("too short")?;
+        let progress = r.u64("too short")?;
+        // The payload runs to the end of the blob: keep the shared buffer,
+        // past the header just read.
+        let header = bytes.len() - r.remaining();
+        bytes.advance(header);
         Ok(Some(Checkpoint {
             seq,
             progress,

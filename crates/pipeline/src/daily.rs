@@ -351,26 +351,14 @@ impl SigmundService {
         };
         self.journal_mark(manifest.as_mut(), Phase::Planned)?;
         // --- model-generation GC ------------------------------------------
-        // Retire model blobs nothing references any more. Carried records
-        // (including carry-forwards for degraded retailers) pin exactly the
-        // day-stamped generations today's warm starts still read; anything
-        // else is a superseded generation from two or more days ago. Running
-        // the sweep at day *start* (not day end) is load-bearing for crash
-        // recovery: a partially applied GC can only have deleted blobs the
-        // re-run never reads, so recovery's own referenced-set GC converges
-        // to the same tree (DESIGN.md §14).
-        let referenced: BTreeSet<&str> = self
-            .last_outputs
-            .iter()
-            .map(|r| r.model_path.as_str())
-            .collect();
-        for path in self.dfs.list("/models/") {
-            if !referenced.contains(path.as_str()) {
-                // xtask: allow(error-swallow) — GC of a superseded model generation is best-effort; an undeletable blob is retried at the next day boundary, and a crash fault is caught by the check below
-                let _ = self.dfs.delete(&path);
-            }
+        // Running the sweep at day *start* (not day end) is load-bearing for
+        // crash recovery: a partially applied GC can only have deleted blobs
+        // the re-run never reads, so recovery's sweep by the same rule
+        // converges to the same tree (DESIGN.md §14).
+        for path in self.unreferenced_models() {
+            // xtask: allow(error-swallow) — GC of a superseded model generation is best-effort; an undeletable blob is retried at the next day boundary, and a crash fault is caught by the check below
+            let _ = self.dfs.delete(&path);
         }
-        drop(referenced);
         self.check_crash("model gc")?;
         // --- sweep --------------------------------------------------------
         let new_catalogs: Vec<Catalog> = self
@@ -1002,6 +990,24 @@ impl SigmundService {
         Ok(report)
     }
 
+    /// The model-GC rule, in its one place: every `/models/` blob that no
+    /// carried record references is a superseded generation. Carried
+    /// records (including carry-forwards for degraded retailers) pin exactly
+    /// the day-stamped generations the next warm starts read. Both the
+    /// day-start sweep in [`SigmundService::run_day`] and
+    /// [`SigmundService::recover`] delete exactly this list, which is what
+    /// makes a crash-interrupted sweep converge (DESIGN.md §14).
+    fn unreferenced_models(&self) -> Vec<String> {
+        let referenced: BTreeSet<&str> = self
+            .last_outputs
+            .iter()
+            .map(|r| r.model_path.as_str())
+            .collect();
+        let mut models = self.dfs.list("/models/");
+        models.retain(|path| !referenced.contains(path.as_str()));
+        models
+    }
+
     /// Snapshot of the service's carry-forward state as a journal manifest.
     fn manifest_now(&self, phase: Phase) -> DayManifest {
         DayManifest {
@@ -1229,21 +1235,12 @@ impl SigmundService {
             }
             // Model blobs the crashed day already wrote (or superseded
             // generations its start-of-day GC had not finished deleting)
-            // are stale too: the restored carry-forward records reference
-            // exactly the generations the re-run warm-starts from, and the
-            // baseline keeps exactly that set at every day boundary, so
-            // deleting everything else reproduces the uninterrupted run's
-            // day-start model tree byte-for-byte (DESIGN.md §14).
-            let referenced: BTreeSet<&str> = svc
-                .last_outputs
-                .iter()
-                .map(|r| r.model_path.as_str())
-                .collect();
-            for path in svc.dfs.list("/models/") {
-                if !referenced.contains(path.as_str()) {
-                    stale.push(path);
-                }
-            }
+            // are stale too: the baseline keeps exactly the referenced set
+            // at every day boundary, so deleting everything else reproduces
+            // the uninterrupted run's day-start model tree byte-for-byte
+            // (DESIGN.md §14). Last in `stale`: the delete order is part of
+            // the crash-sweep's op indexing.
+            stale.extend(svc.unreferenced_models());
         } else {
             for path in svc.dfs.list(journal::MARKER_PREFIX) {
                 stale.push(path);

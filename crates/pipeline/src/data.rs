@@ -5,14 +5,14 @@
 //! out. Events use a compact fixed-width binary codec (17 bytes/event).
 //! Catalogs and recommendation tables use compact magic-tagged binary codecs
 //! too (DESIGN.md §12): at fleet scale the JSON encode/decode dominated the
-//! day, and the binary path needs no serde backend at runtime. JSON blobs
-//! written by earlier versions stay readable — the loaders dispatch on the
-//! magic bytes. Config records keep JSON (they are small and debuggability
-//! wins — Section I lists "understand and debug problems efficiently" as a
-//! design goal).
+//! day, and the binary path needs no serde backend at runtime. All three go
+//! through `sigmund_types::wire` (DESIGN.md §16). Config records keep JSON
+//! (they are small and debuggability wins — Section I lists "understand and
+//! debug problems efficiently" as a design goal).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use sigmund_dfs::Dfs;
+use sigmund_types::wire::{Reader, Writer};
 use sigmund_types::{
     ActionType, BrandId, Catalog, CategoryId, CellId, ConfigRecord, FacetId, Interaction, ItemId,
     ItemMeta, RetailerId, SigmundError, Taxonomy, UserId,
@@ -58,48 +58,40 @@ pub fn recs_part_path(r: RetailerId, start: u32) -> String {
 
 /// Encodes an event log (17 bytes per event).
 pub fn encode_events(events: &[Interaction]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + events.len() * 17);
-    buf.put_u32_le(events.len() as u32);
-    for e in events {
-        buf.put_u32_le(e.user.0);
-        buf.put_u32_le(e.item.0);
-        buf.put_u8(e.action as u8);
-        buf.put_u64_le(e.when);
-    }
-    buf.freeze()
+    let mut w = Writer::with_capacity(b"", 4 + events.len() * 17);
+    w.list(events.iter(), |w, e| {
+        w.u32(e.user.0);
+        w.u32(e.item.0);
+        w.u8(e.action.strength());
+        w.u64(e.when);
+    });
+    Bytes::from(w.finish())
 }
 
 /// Decodes an event log.
 ///
 /// # Errors
 /// [`SigmundError::Corrupt`] on malformed bytes.
-pub fn decode_events(mut b: &[u8]) -> Result<Vec<Interaction>, SigmundError> {
-    let corrupt = |m: &str| SigmundError::Corrupt(format!("event log: {m}"));
-    if b.remaining() < 4 {
-        return Err(corrupt("missing length"));
-    }
-    let n = b.get_u32_le() as usize;
-    if b.remaining() != n * 17 {
-        return Err(corrupt("length mismatch"));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let user = UserId(b.get_u32_le());
-        let item = ItemId(b.get_u32_le());
-        let action = match b.get_u8() {
+pub fn decode_events(b: &[u8]) -> Result<Vec<Interaction>, SigmundError> {
+    let mut r = Reader::open("event log", b"", b)?;
+    let out = r.list(17, "length mismatch", |r| {
+        let user = UserId(r.u32("truncated event")?);
+        let item = ItemId(r.u32("truncated event")?);
+        let action = match r.u8("truncated event")? {
             0 => ActionType::View,
             1 => ActionType::Search,
             2 => ActionType::Cart,
             3 => ActionType::Conversion,
-            x => return Err(corrupt(&format!("bad action {x}"))),
+            x => return Err(r.corrupt(format_args!("bad action {x}"))),
         };
-        let when = b.get_u64_le();
-        out.push(Interaction::new(user, item, action, when));
-    }
+        let when = r.u64("truncated event")?;
+        Ok(Interaction::new(user, item, action, when))
+    })?;
+    r.finish()?;
     Ok(out)
 }
 
-/// Magic bytes tagging a binary catalog blob (vs legacy JSON).
+/// Magic bytes tagging a binary catalog blob.
 pub const CATALOG_MAGIC: &[u8; 4] = b"SGCT";
 
 /// Encodes a catalog in the compact binary layout:
@@ -113,31 +105,32 @@ pub const CATALOG_MAGIC: &[u8; 4] = b"SGCT";
 /// Taxonomies are append-only (every node's parent has a smaller id), so the
 /// parent list alone reconstructs the tree, depths included.
 pub fn encode_catalog(catalog: &Catalog) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + catalog.taxonomy.len() * 4 + catalog.len() * 9);
-    buf.put_slice(CATALOG_MAGIC);
-    buf.put_u32_le(catalog.retailer.0);
-    buf.put_u32_le(u32::try_from(catalog.taxonomy.len()).unwrap_or(u32::MAX));
+    let mut w = Writer::with_capacity(
+        CATALOG_MAGIC,
+        16 + catalog.taxonomy.len() * 4 + catalog.len() * 9,
+    );
+    w.u32(catalog.retailer.0);
+    w.len(catalog.taxonomy.len());
     for i in 1..catalog.taxonomy.len() {
-        buf.put_u32_le(catalog.taxonomy.parent(CategoryId::from_index(i)).0);
+        w.u32(catalog.taxonomy.parent(CategoryId::from_index(i)).0);
     }
-    buf.put_u32_le(u32::try_from(catalog.len()).unwrap_or(u32::MAX));
+    w.len(catalog.len());
     for (_, m) in catalog.iter() {
-        let flags = u8::from(m.brand.is_some())
+        w.u8(u8::from(m.brand.is_some())
             | u8::from(m.price.is_some()) << 1
-            | u8::from(m.facet.is_some()) << 2;
-        buf.put_u8(flags);
-        buf.put_u32_le(m.category.0);
+            | u8::from(m.facet.is_some()) << 2);
+        w.u32(m.category.0);
         if let Some(b) = m.brand {
-            buf.put_u32_le(b.0);
+            w.u32(b.0);
         }
         if let Some(p) = m.price {
-            buf.put_f32_le(p);
+            w.f32(p);
         }
         if let Some(f) = m.facet {
-            buf.put_u32_le(f.0);
+            w.u32(f.0);
         }
     }
-    buf.freeze()
+    Bytes::from(w.finish())
 }
 
 /// Decodes a binary catalog blob (see [`encode_catalog`]).
@@ -145,64 +138,46 @@ pub fn encode_catalog(catalog: &Catalog) -> Bytes {
 /// # Errors
 /// [`SigmundError::Corrupt`] on malformed bytes, including parent or
 /// category references that would break the append-only taxonomy invariant.
-pub fn decode_catalog(mut b: &[u8]) -> Result<Catalog, SigmundError> {
-    let corrupt = |m: &str| SigmundError::Corrupt(format!("catalog blob: {m}"));
-    if b.remaining() < 12 || &b[..4] != CATALOG_MAGIC {
-        return Err(corrupt("missing magic"));
-    }
-    b.advance(4);
-    let retailer = RetailerId(b.get_u32_le());
-    let n_cats = b.get_u32_le() as usize;
+pub fn decode_catalog(b: &[u8]) -> Result<Catalog, SigmundError> {
+    let mut r = Reader::open("catalog blob", CATALOG_MAGIC, b)?;
+    let retailer = RetailerId(r.u32("truncated header")?);
+    // The count includes the root, which has no parent on the wire.
+    let n_cats = r.u32("truncated header")? as usize;
     if n_cats == 0 {
-        return Err(corrupt("taxonomy missing root"));
-    }
-    if b.remaining() < (n_cats - 1) * 4 {
-        return Err(corrupt("truncated taxonomy"));
+        return Err(r.corrupt("taxonomy missing root"));
     }
     let mut taxonomy = Taxonomy::new();
     for i in 1..n_cats {
-        let parent = CategoryId(b.get_u32_le());
+        let parent = CategoryId(r.u32("truncated taxonomy")?);
         // add_child asserts on unknown parents; reject instead of panicking.
         if parent.index() >= i {
-            return Err(corrupt(&format!("category {i} parent out of range")));
+            return Err(r.corrupt(format_args!("category {i} parent out of range")));
         }
         taxonomy.add_child(parent);
     }
-    if b.remaining() < 4 {
-        return Err(corrupt("missing item count"));
-    }
-    let n_items = b.get_u32_le() as usize;
+    // An item is at least its flags byte and category.
+    let n_items = r.len(5, "truncated item count")?;
     let mut catalog = Catalog::new(retailer, taxonomy);
     for i in 0..n_items {
-        if b.remaining() < 5 {
-            return Err(corrupt("truncated item"));
-        }
-        let flags = b.get_u8();
+        let flags = r.u8("truncated item")?;
         if flags & !0b111 != 0 {
-            return Err(corrupt(&format!("item {i} reserved flag bits")));
+            return Err(r.corrupt(format_args!("item {i} reserved flag bits")));
         }
-        let category = CategoryId(b.get_u32_le());
+        let category = CategoryId(r.u32("truncated item")?);
         if category.index() >= catalog.taxonomy.len() {
-            return Err(corrupt(&format!("item {i} category out of range")));
+            return Err(r.corrupt(format_args!("item {i} category out of range")));
         }
-        let optional = 4
-            * (usize::from(flags & 1) + usize::from(flags >> 1 & 1) + usize::from(flags >> 2 & 1));
-        if b.remaining() < optional {
-            return Err(corrupt("truncated item fields"));
-        }
-        let brand = (flags & 1 != 0).then(|| BrandId(b.get_u32_le()));
-        let price = (flags & 2 != 0).then(|| b.get_f32_le());
-        let facet = (flags & 4 != 0).then(|| FacetId(b.get_u32_le()));
+        let brand = (flags & 1 != 0).then(|| r.u32("truncated item fields"));
+        let price = (flags & 2 != 0).then(|| r.f32("truncated item fields"));
+        let facet = (flags & 4 != 0).then(|| r.u32("truncated item fields"));
         catalog.add_item(ItemMeta {
             category,
-            brand,
-            price,
-            facet,
+            brand: brand.transpose()?.map(BrandId),
+            price: price.transpose()?,
+            facet: facet.transpose()?.map(FacetId),
         });
     }
-    if b.has_remaining() {
-        return Err(corrupt("trailing bytes"));
-    }
+    r.finish()?;
     Ok(catalog)
 }
 
@@ -229,15 +204,9 @@ pub fn publish_retailer(
     Ok(())
 }
 
-/// Loads a retailer's catalog from the DFS. Binary blobs (the current
-/// format) dispatch on the magic bytes; anything else takes the legacy JSON
-/// path.
+/// Loads a retailer's catalog from the DFS.
 pub fn load_catalog(dfs: &Dfs, cell: CellId, r: RetailerId) -> Result<Catalog, SigmundError> {
-    let bytes = dfs.read(cell, &catalog_path(r))?;
-    if bytes.starts_with(CATALOG_MAGIC) {
-        return decode_catalog(&bytes);
-    }
-    serde_json::from_slice(&bytes).map_err(|e| SigmundError::Corrupt(format!("catalog: {e}")))
+    decode_catalog(&dfs.read(cell, &catalog_path(r))?)
 }
 
 /// Loads a retailer's events from the DFS.

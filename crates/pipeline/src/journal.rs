@@ -12,12 +12,12 @@
 //!
 //! Recovery ([`crate::SigmundService::recover`]) reads manifests back with
 //! [`sigmund_dfs::Dfs::peek`] — an offline scan that bypasses any fault
-//! injector — and trusts nothing: every manifest embeds a trailing
-//! [`fnv1a64`] checksum over its payload, so a torn tmp blob or a bit flip
-//! is rejected (and garbage-collected) rather than replayed. The encoding
-//! is a fixed little-endian binary layout with no serde backend — the
-//! journal must stay writable and readable in exactly the environments
-//! where crash recovery matters.
+//! injector — and trusts nothing: every manifest is a sealed
+//! [`sigmund_types::wire`] frame (trailing `fnv1a64` over its payload), so
+//! a torn tmp blob or a bit flip is rejected (and garbage-collected) rather
+//! than replayed. The encoding is a fixed little-endian binary layout with
+//! no serde backend — the journal must stay writable and readable in
+//! exactly the environments where crash recovery matters.
 //!
 //! Like every other robustness layer in this workspace, the journal is
 //! byte-invisible when off: [`crate::PipelineConfig::journal`] defaults to
@@ -27,8 +27,9 @@
 
 use bytes::Bytes;
 use sigmund_dfs::Dfs;
+use sigmund_types::wire::{Reader, Writer};
 use sigmund_types::{
-    fnv1a64, CellId, ConfigRecord, HyperParams, ModelId, ModelMetrics, RetailerId, SigmundError,
+    CellId, ConfigRecord, HyperParams, ModelId, ModelMetrics, RetailerId, SigmundError,
 };
 
 /// Magic bytes opening every journal manifest blob.
@@ -157,164 +158,70 @@ pub fn publish_marker_path(day: u32, r: RetailerId) -> String {
     format!("{MARKER_PREFIX}{day:08}/r{}", r.0)
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) -> Result<(), SigmundError> {
-    let len = u32::try_from(s.len())
-        .map_err(|_| SigmundError::Invalid(format!("journal: string of {} bytes", s.len())))?;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-    Ok(())
-}
-
-fn put_u32_len(out: &mut Vec<u8>, n: usize, what: &str) -> Result<(), SigmundError> {
-    let len = u32::try_from(n)
-        .map_err(|_| SigmundError::Invalid(format!("journal: {n} {what} overflow u32")))?;
-    out.extend_from_slice(&len.to_le_bytes());
-    Ok(())
-}
-
-fn encode_record(out: &mut Vec<u8>, r: &ConfigRecord) -> Result<(), SigmundError> {
-    out.extend_from_slice(&r.model.retailer.0.to_le_bytes());
-    out.extend_from_slice(&r.model.config.to_le_bytes());
-    out.extend_from_slice(&r.params.to_wire());
-    put_str(out, &r.train_path)?;
-    put_str(out, &r.holdout_path)?;
-    put_str(out, &r.model_path)?;
-    match &r.warm_start_path {
-        Some(p) => {
-            out.push(1);
-            put_str(out, p)?;
+fn encode_record(w: &mut Writer, r: &ConfigRecord) {
+    w.u32(r.model.retailer.0);
+    w.u32(r.model.config);
+    w.raw(&r.params.to_wire());
+    w.str(&r.train_path);
+    w.str(&r.holdout_path);
+    w.str(&r.model_path);
+    w.bool(r.warm_start_path.is_some());
+    if let Some(p) = &r.warm_start_path {
+        w.str(p);
+    }
+    w.bool(r.epochs_override.is_some());
+    if let Some(e) = r.epochs_override {
+        w.u32(e);
+    }
+    w.bool(r.metrics.is_some());
+    if let Some(m) = &r.metrics {
+        for v in [
+            m.map_at_10,
+            m.auc,
+            m.precision_at_10,
+            m.recall_at_10,
+            m.ndcg_at_10,
+        ] {
+            w.f64(v);
         }
-        None => out.push(0),
+        w.u64(m.holdout_size);
+        w.bool(m.map_sampled);
     }
-    match r.epochs_override {
-        Some(e) => {
-            out.push(1);
-            out.extend_from_slice(&e.to_le_bytes());
-        }
-        None => out.push(0),
-    }
-    match &r.metrics {
-        Some(m) => {
-            out.push(1);
-            for v in [
-                m.map_at_10,
-                m.auc,
-                m.precision_at_10,
-                m.recall_at_10,
-                m.ndcg_at_10,
-            ] {
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-            out.extend_from_slice(&m.holdout_size.to_le_bytes());
-            out.push(u8::from(m.map_sampled));
-        }
-        None => out.push(0),
-    }
-    Ok(())
 }
 
-/// Bounds-checked little-endian cursor over untrusted manifest bytes.
-struct Cursor<'a> {
-    b: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn corrupt(what: &str) -> SigmundError {
-        SigmundError::Corrupt(format!("journal: {what}"))
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], SigmundError> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.b.len())
-            .ok_or_else(|| Self::corrupt(what))?;
-        let s = &self.b[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, SigmundError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, SigmundError> {
-        let s = self.take(4, what)?;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, SigmundError> {
-        let s = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7],
-        ]))
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64, SigmundError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    fn str(&mut self, what: &str) -> Result<String, SigmundError> {
-        let len = self.u32(what)? as usize;
-        let s = self.take(len, what)?;
-        String::from_utf8(s.to_vec()).map_err(|_| Self::corrupt(what))
-    }
-
-    fn record(&mut self) -> Result<ConfigRecord, SigmundError> {
-        let retailer = RetailerId(self.u32("record retailer")?);
-        let config = self.u32("record config")?;
-        let params = HyperParams::from_wire(self.take(HyperParams::WIRE_LEN, "record params")?)?;
-        let train_path = self.str("record train path")?;
-        let holdout_path = self.str("record holdout path")?;
-        let model_path = self.str("record model path")?;
-        let warm_start_path = match self.u8("record warm flag")? {
-            0 => None,
-            1 => Some(self.str("record warm path")?),
-            _ => return Err(Self::corrupt("record warm flag")),
-        };
-        let epochs_override = match self.u8("record epochs flag")? {
-            0 => None,
-            1 => Some(self.u32("record epochs")?),
-            _ => return Err(Self::corrupt("record epochs flag")),
-        };
-        let metrics = match self.u8("record metrics flag")? {
-            0 => None,
-            1 => {
-                let map_at_10 = self.f64("metrics map")?;
-                let auc = self.f64("metrics auc")?;
-                let precision_at_10 = self.f64("metrics precision")?;
-                let recall_at_10 = self.f64("metrics recall")?;
-                let ndcg_at_10 = self.f64("metrics ndcg")?;
-                let holdout_size = self.u64("metrics holdout size")?;
-                let map_sampled = match self.u8("metrics sampled flag")? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(Self::corrupt("metrics sampled flag")),
-                };
-                Some(ModelMetrics {
-                    map_at_10,
-                    auc,
-                    precision_at_10,
-                    recall_at_10,
-                    ndcg_at_10,
-                    holdout_size,
-                    map_sampled,
-                })
-            }
-            _ => return Err(Self::corrupt("record metrics flag")),
-        };
-        Ok(ConfigRecord {
-            model: ModelId { retailer, config },
-            params,
-            train_path,
-            holdout_path,
-            model_path,
-            warm_start_path,
-            epochs_override,
-            metrics,
-        })
-    }
+fn decode_record(r: &mut Reader) -> Result<ConfigRecord, SigmundError> {
+    // Struct fields are evaluated in source order, which is the wire order.
+    Ok(ConfigRecord {
+        model: ModelId {
+            retailer: RetailerId(r.u32("record retailer")?),
+            config: r.u32("record config")?,
+        },
+        params: HyperParams::from_wire(r.raw(HyperParams::WIRE_LEN, "record params")?)?,
+        train_path: r.str("record train path")?,
+        holdout_path: r.str("record holdout path")?,
+        model_path: r.str("record model path")?,
+        warm_start_path: r
+            .bool("record warm flag")?
+            .then(|| r.str("record warm path"))
+            .transpose()?,
+        epochs_override: r
+            .bool("record epochs flag")?
+            .then(|| r.u32("record epochs"))
+            .transpose()?,
+        metrics: if r.bool("record metrics flag")? {
+            Some(ModelMetrics {
+                map_at_10: r.f64("metrics map")?,
+                auc: r.f64("metrics auc")?,
+                precision_at_10: r.f64("metrics precision")?,
+                recall_at_10: r.f64("metrics recall")?,
+                ndcg_at_10: r.f64("metrics ndcg")?,
+                holdout_size: r.u64("metrics holdout size")?,
+                map_sampled: r.bool("metrics sampled flag")?,
+            })
+        } else {
+            None
+        },
+    })
 }
 
 impl DayManifest {
@@ -324,34 +231,25 @@ impl DayManifest {
     /// [`SigmundError::Invalid`] if any collection or string exceeds `u32`
     /// length (unreachable for real fleets).
     pub fn to_bytes(&self) -> Result<Bytes, SigmundError> {
-        let mut out = Vec::new();
-        out.extend_from_slice(JOURNAL_MAGIC);
-        out.push(JOURNAL_VERSION);
-        out.push(self.phase.tag());
-        out.extend_from_slice(&self.day.to_le_bytes());
-        out.extend_from_slice(&self.virtual_now.to_bits().to_le_bytes());
-        put_u32_len(&mut out, self.retailers.len(), "retailers")?;
-        for (r, n) in &self.retailers {
-            out.extend_from_slice(&r.0.to_le_bytes());
-            out.extend_from_slice(&n.to_le_bytes());
+        let mut w = Writer::new(JOURNAL_MAGIC);
+        w.u8(JOURNAL_VERSION);
+        w.u8(self.phase.tag());
+        w.u32(self.day);
+        w.f64(self.virtual_now);
+        w.list(self.retailers.iter(), |w, (r, n)| {
+            w.u32(r.0);
+            w.u64(*n);
+        });
+        w.list(self.new_since_last_run.iter(), |w, r| w.u32(r.0));
+        w.list(self.last_accepted_map.iter(), |w, v| w.f64(*v));
+        w.list(self.last_outputs.iter(), encode_record);
+        w.bytes(&self.ops);
+        if let Some(n) = w.overflow() {
+            return Err(SigmundError::Invalid(format!(
+                "journal: length {n} overflows u32"
+            )));
         }
-        put_u32_len(&mut out, self.new_since_last_run.len(), "new retailers")?;
-        for r in &self.new_since_last_run {
-            out.extend_from_slice(&r.0.to_le_bytes());
-        }
-        put_u32_len(&mut out, self.last_accepted_map.len(), "accepted maps")?;
-        for v in &self.last_accepted_map {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        put_u32_len(&mut out, self.last_outputs.len(), "config records")?;
-        for r in &self.last_outputs {
-            encode_record(&mut out, r)?;
-        }
-        put_u32_len(&mut out, self.ops.len(), "ops bytes")?;
-        out.extend_from_slice(&self.ops);
-        let sum = fnv1a64(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        Ok(Bytes::from(out))
+        Ok(Bytes::from(w.seal()))
     }
 
     /// Parses and verifies a manifest blob. Any truncation, trailing
@@ -362,66 +260,31 @@ impl DayManifest {
     /// # Errors
     /// [`SigmundError::Corrupt`] as above.
     pub fn from_bytes(b: &[u8]) -> Result<Self, SigmundError> {
-        let corrupt = |m: &str| SigmundError::Corrupt(format!("journal: {m}"));
-        if b.len() < JOURNAL_MAGIC.len() + 8 || &b[..JOURNAL_MAGIC.len()] != JOURNAL_MAGIC {
-            return Err(corrupt("missing magic"));
-        }
-        let payload_len = b.len() - 8;
-        let tail = &b[payload_len..];
-        let stamped = u64::from_le_bytes([
-            tail[0], tail[1], tail[2], tail[3], tail[4], tail[5], tail[6], tail[7],
-        ]);
-        if fnv1a64(&b[..payload_len]) != stamped {
-            return Err(corrupt("checksum mismatch"));
-        }
-        let mut c = Cursor {
-            b: &b[..payload_len],
-            at: JOURNAL_MAGIC.len(),
-        };
-        let version = c.u8("version")?;
+        let mut r = Reader::open_sealed("journal", JOURNAL_MAGIC, b)?;
+        let version = r.u8("version")?;
         if version != JOURNAL_VERSION {
-            return Err(corrupt(&format!("unknown version {version}")));
+            return Err(r.corrupt(format_args!("unknown version {version}")));
         }
-        let phase = Phase::from_tag(c.u8("phase")?)?;
-        let day = c.u32("day")?;
-        let virtual_now = c.f64("virtual now")?;
-        let n = c.u32("retailer count")? as usize;
-        let mut retailers = Vec::new();
-        for _ in 0..n {
-            let r = RetailerId(c.u32("retailer id")?);
-            let items = c.u64("retailer items")?;
-            retailers.push((r, items));
-        }
-        let n = c.u32("new retailer count")? as usize;
-        let mut new_since_last_run = Vec::new();
-        for _ in 0..n {
-            new_since_last_run.push(RetailerId(c.u32("new retailer id")?));
-        }
-        let n = c.u32("accepted map count")? as usize;
-        let mut last_accepted_map = Vec::new();
-        for _ in 0..n {
-            last_accepted_map.push(c.f64("accepted map")?);
-        }
-        let n = c.u32("config record count")? as usize;
-        let mut last_outputs = Vec::new();
-        for _ in 0..n {
-            last_outputs.push(c.record()?);
-        }
-        let n = c.u32("ops length")? as usize;
-        let ops = c.take(n, "ops bytes")?.to_vec();
-        if c.at != payload_len {
-            return Err(corrupt("trailing bytes"));
-        }
-        Ok(DayManifest {
+        let phase = Phase::from_tag(r.u8("phase")?)?;
+        let day = r.u32("day")?;
+        let virtual_now = r.f64("virtual now")?;
+        let m = DayManifest {
             day,
             phase,
             virtual_now,
-            retailers,
-            new_since_last_run,
-            last_accepted_map,
-            last_outputs,
-            ops,
-        })
+            retailers: r.list(12, "retailer count", |r| {
+                Ok((RetailerId(r.u32("retailer id")?), r.u64("retailer items")?))
+            })?,
+            new_since_last_run: r.list(4, "new retailer count", |r| {
+                r.u32("new retailer id").map(RetailerId)
+            })?,
+            last_accepted_map: r.list(8, "accepted map count", |r| r.f64("accepted map"))?,
+            // A record is at least its two ids and its hyper-parameters.
+            last_outputs: r.list(8 + HyperParams::WIRE_LEN, "record count", decode_record)?,
+            ops: r.bytes("ops bytes")?.to_vec(),
+        };
+        r.finish()?;
+        Ok(m)
     }
 }
 
@@ -476,13 +339,11 @@ fn retry_op(mut op: impl FnMut() -> Result<(), SigmundError>) -> Result<(), Sigm
 /// so drivers can evolve what they stash without a journal format bump.
 #[must_use]
 pub fn pack_ops(sections: &[&[u8]]) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut w = Writer::new(b"");
     for s in sections {
-        let len = u32::try_from(s.len()).unwrap_or(u32::MAX);
-        out.extend_from_slice(&len.to_le_bytes());
-        out.extend_from_slice(&s[..len as usize]);
+        w.bytes(s);
     }
-    out
+    w.finish()
 }
 
 /// Splits a [`pack_ops`] blob back into its sections.
@@ -490,11 +351,10 @@ pub fn pack_ops(sections: &[&[u8]]) -> Vec<u8> {
 /// # Errors
 /// [`SigmundError::Corrupt`] on a truncated section.
 pub fn unpack_ops(b: &[u8]) -> Result<Vec<Vec<u8>>, SigmundError> {
-    let mut c = Cursor { b, at: 0 };
+    let mut r = Reader::open("journal", b"", b)?;
     let mut out = Vec::new();
-    while c.at < b.len() {
-        let len = c.u32("ops section length")? as usize;
-        out.push(c.take(len, "ops section")?.to_vec());
+    while r.remaining() > 0 {
+        out.push(r.bytes("ops section")?.to_vec());
     }
     Ok(out)
 }

@@ -24,7 +24,8 @@
 use crate::daily::DayReport;
 use serde::Serialize;
 use sigmund_obs::{AlertKind, ArgValue, HealthBus, HealthEvent, Level, Obs, Track};
-use sigmund_types::{fnv1a64, RetailerId, SigmundError};
+use sigmund_types::wire::{Reader, Writer};
+use sigmund_types::{RetailerId, SigmundError};
 use std::collections::VecDeque;
 
 /// Magic bytes opening a serialized monitor blob (see
@@ -541,27 +542,19 @@ impl QualityMonitor {
     /// serde backend: crash recovery must work everywhere.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MONITOR_MAGIC);
-        out.push(MONITOR_VERSION);
-        let n = u32::try_from(self.history.len()).unwrap_or(u32::MAX);
-        out.extend_from_slice(&n.to_le_bytes());
-        for (h, &tracked) in self.history.iter().zip(&self.tracked).take(n as usize) {
-            out.push(u8::from(tracked));
-            let ring = u32::try_from(h.recent.len()).unwrap_or(u32::MAX);
-            out.extend_from_slice(&ring.to_le_bytes());
-            for v in &h.recent {
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-            out.extend_from_slice(&(h.samples as u64).to_le_bytes());
-            out.extend_from_slice(&h.best.to_bits().to_le_bytes());
-            out.push(u8::from(h.low_quality));
-            out.push(u8::from(h.degraded));
-            out.extend_from_slice(&h.stale_days.to_le_bytes());
-        }
-        let sum = fnv1a64(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
+        let mut w = Writer::new(MONITOR_MAGIC);
+        w.u8(MONITOR_VERSION);
+        let slots = self.history.iter().zip(&self.tracked);
+        w.list(slots, |w, (h, &tracked)| {
+            w.bool(tracked);
+            w.list(h.recent.iter(), |w, &v| w.f64(v));
+            w.u64(h.samples as u64);
+            w.f64(h.best);
+            w.bool(h.low_quality);
+            w.bool(h.degraded);
+            w.u32(h.stale_days);
+        });
+        w.seal()
     }
 
     /// Rebuilds a monitor from a [`QualityMonitor::to_bytes`] blob, with the
@@ -572,84 +565,30 @@ impl QualityMonitor {
     /// # Errors
     /// [`SigmundError::Corrupt`] as above.
     pub fn from_bytes(cfg: MonitorConfig, bus: HealthBus, b: &[u8]) -> Result<Self, SigmundError> {
-        let corrupt = |m: &str| SigmundError::Corrupt(format!("monitor snapshot: {m}"));
-        if b.len() < MONITOR_MAGIC.len() + 8 || &b[..MONITOR_MAGIC.len()] != MONITOR_MAGIC {
-            return Err(corrupt("missing magic"));
-        }
-        let payload_len = b.len() - 8;
-        let tail = &b[payload_len..];
-        let stamped = u64::from_le_bytes([
-            tail[0], tail[1], tail[2], tail[3], tail[4], tail[5], tail[6], tail[7],
-        ]);
-        if fnv1a64(&b[..payload_len]) != stamped {
-            return Err(corrupt("checksum mismatch"));
-        }
-        let b = &b[..payload_len];
-        let mut at = MONITOR_MAGIC.len();
-        let mut take = |n: usize, what: &str| -> Result<&[u8], SigmundError> {
-            let end = at
-                .checked_add(n)
-                .filter(|&e| e <= b.len())
-                .ok_or_else(|| corrupt(what))?;
-            let s = &b[at..end];
-            at = end;
-            Ok(s)
-        };
-        let version = take(1, "version")?[0];
+        let mut r = Reader::open_sealed("monitor snapshot", MONITOR_MAGIC, b)?;
+        let version = r.u8("version")?;
         if version != MONITOR_VERSION {
-            return Err(corrupt(&format!("unknown version {version}")));
+            return Err(r.corrupt(format_args!("unknown version {version}")));
         }
-        let s = take(4, "slot count")?;
-        let n = u32::from_le_bytes([s[0], s[1], s[2], s[3]]) as usize;
-        let mut history = Vec::new();
-        let mut tracked = Vec::new();
+        // A slot is at least its fixed fields around an empty ring.
+        let n = r.len(27, "slot count")?;
+        let mut history = Vec::with_capacity(n);
+        let mut tracked = Vec::with_capacity(n);
         for _ in 0..n {
-            let is_tracked = match take(1, "tracked flag")?[0] {
-                0 => false,
-                1 => true,
-                _ => return Err(corrupt("tracked flag")),
-            };
-            let s = take(4, "ring length")?;
-            let ring_len = u32::from_le_bytes([s[0], s[1], s[2], s[3]]) as usize;
-            let mut recent = VecDeque::new();
-            for _ in 0..ring_len {
-                let s = take(8, "ring sample")?;
-                recent.push_back(f64::from_bits(u64::from_le_bytes([
-                    s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7],
-                ])));
-            }
-            let s = take(8, "sample count")?;
-            let samples = u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]);
-            let samples = usize::try_from(samples).map_err(|_| corrupt("sample count range"))?;
-            let s = take(8, "best map")?;
-            let best = f64::from_bits(u64::from_le_bytes([
-                s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7],
-            ]));
-            let low_quality = match take(1, "low-quality flag")?[0] {
-                0 => false,
-                1 => true,
-                _ => return Err(corrupt("low-quality flag")),
-            };
-            let degraded = match take(1, "degraded flag")?[0] {
-                0 => false,
-                1 => true,
-                _ => return Err(corrupt("degraded flag")),
-            };
-            let s = take(4, "stale days")?;
-            let stale_days = u32::from_le_bytes([s[0], s[1], s[2], s[3]]);
+            tracked.push(r.bool("tracked flag")?);
+            let recent = r.list(8, "ring length", |r| r.f64("ring sample"))?;
+            let samples = usize::try_from(r.u64("sample count")?)
+                .map_err(|_| r.corrupt("sample count range"))?;
             history.push(History {
-                recent,
+                recent: recent.into(),
                 samples,
-                best,
-                low_quality,
-                degraded,
-                stale_days,
+                best: r.f64("best map")?,
+                low_quality: r.bool("low-quality flag")?,
+                degraded: r.bool("degraded flag")?,
+                stale_days: r.u32("stale days")?,
             });
-            tracked.push(is_tracked);
         }
-        if at != b.len() {
-            return Err(corrupt("trailing bytes"));
-        }
+        r.finish()?;
         Ok(Self {
             cfg,
             history,

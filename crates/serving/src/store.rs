@@ -23,7 +23,8 @@ use sigmund_core::inference::{ItemRecs, RecList};
 use sigmund_core::model::ContextEvent;
 use sigmund_dfs::Dfs;
 use sigmund_obs::{HealthBus, HealthEvent, Level, Obs, Track};
-use sigmund_types::{fnv1a64, ActionType, CellId, ItemId, RetailerId, SigmundError};
+use sigmund_types::wire::{Reader, Writer};
+use sigmund_types::{ActionType, CellId, ItemId, RetailerId, SigmundError};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -416,19 +417,14 @@ impl ServingStore {
                 }
             }
         }
-        let mut out = Vec::new();
-        out.extend_from_slice(STORE_META_MAGIC);
-        out.push(STORE_META_VERSION);
-        out.extend_from_slice(&meta.generation.to_le_bytes());
-        let n = u32::try_from(stamps.len()).unwrap_or(u32::MAX);
-        out.extend_from_slice(&n.to_le_bytes());
-        for (r, fresh) in stamps.iter().take(n as usize) {
-            out.extend_from_slice(&r.to_le_bytes());
-            out.extend_from_slice(&fresh.to_le_bytes());
-        }
-        let sum = fnv1a64(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
+        let mut w = Writer::new(STORE_META_MAGIC);
+        w.u8(STORE_META_VERSION);
+        w.u64(meta.generation);
+        w.list(stamps.iter(), |w, (&r, &fresh)| {
+            w.u32(r);
+            w.u64(fresh);
+        });
+        w.seal()
     }
 
     /// Rebuilds a store from a [`ServingStore::meta_bytes`] blob plus the
@@ -450,50 +446,19 @@ impl ServingStore {
         meta: &[u8],
         tables: BTreeMap<RetailerId, Arc<Vec<ItemRecs>>>,
     ) -> Result<Self, SigmundError> {
-        let corrupt = |m: &str| SigmundError::Corrupt(format!("store meta: {m}"));
-        if meta.len() < STORE_META_MAGIC.len() + 8
-            || &meta[..STORE_META_MAGIC.len()] != STORE_META_MAGIC
-        {
-            return Err(corrupt("missing magic"));
-        }
-        let payload_len = meta.len() - 8;
-        let tail = &meta[payload_len..];
-        let stamped = u64::from_le_bytes([
-            tail[0], tail[1], tail[2], tail[3], tail[4], tail[5], tail[6], tail[7],
-        ]);
-        if fnv1a64(&meta[..payload_len]) != stamped {
-            return Err(corrupt("checksum mismatch"));
-        }
-        let b = &meta[..payload_len];
-        let mut at = STORE_META_MAGIC.len();
-        let mut take = |n: usize, what: &str| -> Result<&[u8], SigmundError> {
-            let end = at
-                .checked_add(n)
-                .filter(|&e| e <= b.len())
-                .ok_or_else(|| corrupt(what))?;
-            let s = &b[at..end];
-            at = end;
-            Ok(s)
-        };
-        let version = take(1, "version")?[0];
+        let mut rd = Reader::open_sealed("store meta", STORE_META_MAGIC, meta)?;
+        let version = rd.u8("version")?;
         if version != STORE_META_VERSION {
-            return Err(corrupt(&format!("unknown version {version}")));
+            return Err(rd.corrupt(format_args!("unknown version {version}")));
         }
-        let s = take(8, "generation")?;
-        let generation = u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]);
-        let s = take(4, "stamp count")?;
-        let n = u32::from_le_bytes([s[0], s[1], s[2], s[3]]) as usize;
-        let mut stamps: BTreeMap<RetailerId, u64> = BTreeMap::new();
-        for _ in 0..n {
-            let s = take(4, "stamp retailer")?;
-            let r = RetailerId(u32::from_le_bytes([s[0], s[1], s[2], s[3]]));
-            let s = take(8, "stamp value")?;
-            let fresh = u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]);
-            stamps.insert(r, fresh);
-        }
-        if at != b.len() {
-            return Err(corrupt("trailing bytes"));
-        }
+        let generation = rd.u64("generation")?;
+        let stamps: BTreeMap<RetailerId, u64> = rd
+            .list(12, "stamp count", |r| {
+                Ok((RetailerId(r.u32("stamp retailer")?), r.u64("stamp value")?))
+            })?
+            .into_iter()
+            .collect();
+        rd.finish()?;
         let store = Self::assemble(bus, None);
         for (r, table) in tables {
             let fresh = stamps.get(&r).copied().unwrap_or(generation);

@@ -10,6 +10,7 @@
 //! retailer.
 
 use crate::ids::ModelId;
+use crate::wire::{Reader, Writer};
 use crate::{RetailerId, SigmundError};
 use serde::{Deserialize, Serialize};
 
@@ -106,8 +107,7 @@ impl HyperParams {
     pub const WIRE_LEN: usize = 42;
 
     /// Serializes to the fixed-width little-endian wire format embedded in
-    /// model snapshots (format v3). Unlike the JSON encoding used by earlier
-    /// snapshot versions, this is infallible and needs no serde backend.
+    /// model snapshots and journal records: infallible, no serde backend.
     ///
     /// Layout: factors u32 | learning_rate f32 | reg_item f32 |
     /// reg_context f32 | features u8 (bit 0 taxonomy, 1 brand, 2 price) |
@@ -115,25 +115,28 @@ impl HyperParams {
     /// context_len u32 | context_decay f32.
     #[must_use]
     pub fn to_wire(&self) -> [u8; Self::WIRE_LEN] {
-        let mut b = [0u8; Self::WIRE_LEN];
-        b[0..4].copy_from_slice(&self.factors.to_le_bytes());
-        b[4..8].copy_from_slice(&self.learning_rate.to_le_bytes());
-        b[8..12].copy_from_slice(&self.reg_item.to_le_bytes());
-        b[12..16].copy_from_slice(&self.reg_context.to_le_bytes());
-        b[16] = u8::from(self.features.use_taxonomy)
+        let mut w = Writer::with_capacity(b"", Self::WIRE_LEN);
+        w.u32(self.factors);
+        w.f32(self.learning_rate);
+        w.f32(self.reg_item);
+        w.f32(self.reg_context);
+        w.u8(u8::from(self.features.use_taxonomy)
             | u8::from(self.features.use_brand) << 1
-            | u8::from(self.features.use_price) << 2;
-        b[17] = match self.negative_sampler {
+            | u8::from(self.features.use_price) << 2);
+        w.u8(match self.negative_sampler {
             NegativeSamplerKind::UniformUnseen => 0,
             NegativeSamplerKind::TaxonomyAware => 1,
             NegativeSamplerKind::Adaptive => 2,
-        };
-        b[18..26].copy_from_slice(&self.init_seed.to_le_bytes());
-        b[26..30].copy_from_slice(&self.init_std.to_le_bytes());
-        b[30..34].copy_from_slice(&self.epochs.to_le_bytes());
-        b[34..38].copy_from_slice(&self.context_len.to_le_bytes());
-        b[38..42].copy_from_slice(&self.context_decay.to_le_bytes());
-        b
+        });
+        w.u64(self.init_seed);
+        w.f32(self.init_std);
+        w.u32(self.epochs);
+        w.u32(self.context_len);
+        w.f32(self.context_decay);
+        let mut wire = [0u8; Self::WIRE_LEN];
+        // The fields above are fixed-width and sum to WIRE_LEN.
+        wire.copy_from_slice(&w.finish());
+        wire
     }
 
     /// Parses the [`HyperParams::to_wire`] format.
@@ -142,41 +145,40 @@ impl HyperParams {
     /// [`SigmundError::Corrupt`] on a wrong length, an unknown sampler tag,
     /// or reserved feature bits being set.
     pub fn from_wire(b: &[u8]) -> Result<Self, SigmundError> {
-        let corrupt = |m: &str| SigmundError::Corrupt(format!("hyper-params wire: {m}"));
-        if b.len() != Self::WIRE_LEN {
-            return Err(corrupt(&format!(
-                "length {} != {}",
-                b.len(),
-                Self::WIRE_LEN
-            )));
+        let mut r = Reader::open("hyper-params wire", b"", b)?;
+        let factors = r.u32("factors")?;
+        let learning_rate = r.f32("learning rate")?;
+        let reg_item = r.f32("item regularization")?;
+        let reg_context = r.f32("context regularization")?;
+        let features = r.u8("feature bits")?;
+        if features & !0b111 != 0 {
+            return Err(r.corrupt(format_args!("reserved feature bits {features:#04x}")));
         }
-        let f4 = |at: usize| [b[at], b[at + 1], b[at + 2], b[at + 3]];
-        if b[16] & !0b111 != 0 {
-            return Err(corrupt(&format!("reserved feature bits {:#04x}", b[16])));
-        }
-        let negative_sampler = match b[17] {
+        let negative_sampler = match r.u8("sampler tag")? {
             0 => NegativeSamplerKind::UniformUnseen,
             1 => NegativeSamplerKind::TaxonomyAware,
             2 => NegativeSamplerKind::Adaptive,
-            x => return Err(corrupt(&format!("unknown sampler tag {x}"))),
+            x => return Err(r.corrupt(format_args!("unknown sampler tag {x}"))),
         };
-        Ok(Self {
-            factors: u32::from_le_bytes(f4(0)),
-            learning_rate: f32::from_le_bytes(f4(4)),
-            reg_item: f32::from_le_bytes(f4(8)),
-            reg_context: f32::from_le_bytes(f4(12)),
+        let hp = Self {
+            factors,
+            learning_rate,
+            reg_item,
+            reg_context,
             features: FeatureSwitches {
-                use_taxonomy: b[16] & 1 != 0,
-                use_brand: b[16] & 2 != 0,
-                use_price: b[16] & 4 != 0,
+                use_taxonomy: features & 1 != 0,
+                use_brand: features & 2 != 0,
+                use_price: features & 4 != 0,
             },
             negative_sampler,
-            init_seed: u64::from_le_bytes([b[18], b[19], b[20], b[21], b[22], b[23], b[24], b[25]]),
-            init_std: f32::from_le_bytes(f4(26)),
-            epochs: u32::from_le_bytes(f4(30)),
-            context_len: u32::from_le_bytes(f4(34)),
-            context_decay: f32::from_le_bytes(f4(38)),
-        })
+            init_seed: r.u64("init seed")?,
+            init_std: r.f32("init std")?,
+            epochs: r.u32("epochs")?,
+            context_len: r.u32("context length")?,
+            context_decay: r.f32("context decay")?,
+        };
+        r.finish()?;
+        Ok(hp)
     }
 }
 

@@ -22,6 +22,7 @@ pub mod hash;
 pub mod ids;
 pub mod interaction;
 pub mod taxonomy;
+pub mod wire;
 
 pub use action::ActionType;
 pub use catalog::{Catalog, ItemMeta};

@@ -683,3 +683,299 @@ proptest! {
         prop_assert_eq!(refetched.as_ref(), &table_of(0));
     }
 }
+
+// ---------------------------------------------------------------------------
+// Wire formats (ISSUE 14). Plain `#[test]`s, not proptest blocks: they must
+// run where the proptest stand-in discards its tokens.
+
+/// One fixed fixture blob per wire format, with its decoder.
+struct WireCase {
+    name: &'static str,
+    bytes: Vec<u8>,
+    /// Carries the `fnv1a64` trailer: any prefix or mutation must be `Err`.
+    sealed: bool,
+    decode: fn(&[u8]) -> Result<()>,
+}
+
+fn wire_cases() -> Vec<WireCase> {
+    use sigmund_cluster::CostMeter;
+    use sigmund_core::snapshot::TableSnapshot;
+    use sigmund_dfs::{CheckpointStore, Dfs};
+    use sigmund_obs::HealthBus;
+    use sigmund_pipeline::data::{
+        decode_catalog, decode_events, decode_recs, encode_catalog, encode_events, encode_recs,
+    };
+    use sigmund_pipeline::journal::{pack_ops, unpack_ops};
+    use sigmund_pipeline::{DayReport, MonitorConfig, QualityMonitor};
+    use sigmund_serving::ServingStore;
+    use std::collections::BTreeMap;
+
+    let hp = HyperParams {
+        factors: 3,
+        learning_rate: 0.05,
+        features: FeatureSwitches::ALL,
+        negative_sampler: NegativeSamplerKind::Adaptive,
+        init_seed: u64::MAX - 3,
+        ..Default::default()
+    };
+
+    // Literal tables, not `BprModel::init`: the fixture must not follow the
+    // `rand` stream, which differs between the published crate and the
+    // offline stand-in.
+    let table = |rows: u32| TableSnapshot {
+        rows,
+        dim: 3,
+        data: (0..rows * 3).map(|i| i as f32 * 0.25 - 1.0).collect(),
+        acc: (0..rows).map(|i| i as f32 + 0.5).collect(),
+    };
+    let snapshot = ModelSnapshot {
+        retailer: RetailerId(7),
+        hp: hp.clone(),
+        tables: [4, 4, 2, 2, 1, 0].into_iter().map(table).collect(),
+    };
+
+    let recs = vec![
+        ItemRecs {
+            view_based: vec![(ItemId(1), 0.9), (ItemId(2), -0.5)],
+            purchase_based: vec![(ItemId(3), 0.7)],
+        },
+        ItemRecs::default(),
+        ItemRecs {
+            view_based: Vec::new(),
+            purchase_based: vec![(ItemId(0), 0.125)],
+        },
+    ];
+
+    let mut tax = Taxonomy::new();
+    let c0 = tax.add_child(tax.root());
+    let c1 = tax.add_child(c0);
+    let mut catalog = Catalog::new(RetailerId(9), tax);
+    catalog.add_item(ItemMeta {
+        category: c1,
+        brand: Some(BrandId(4)),
+        price: Some(12.5),
+        facet: Some(FacetId(2)),
+    });
+    catalog.add_item(ItemMeta::bare(c0));
+    catalog.add_item(ItemMeta {
+        category: c0,
+        brand: None,
+        price: Some(0.75),
+        facet: None,
+    });
+
+    let events = vec![
+        Interaction::new(UserId(1), ItemId(2), ActionType::View, 10),
+        Interaction::new(UserId(1), ItemId(3), ActionType::Conversion, 20),
+        Interaction::new(UserId(2), ItemId(0), ActionType::Cart, u64::MAX - 1),
+        Interaction::new(UserId(3), ItemId(1), ActionType::Search, 0),
+    ];
+
+    let day_report = |day: u32, map: f64, degraded: bool| {
+        let mut rec = ConfigRecord::cold(RetailerId(0), 0, HyperParams::default());
+        rec.metrics = Some(ModelMetrics {
+            map_at_10: map,
+            ..Default::default()
+        });
+        DayReport {
+            day,
+            models_trained: 1,
+            train_makespan: 0.0,
+            infer_makespan: 0.0,
+            cost: CostMeter::default(),
+            preemptions: 0,
+            best: BTreeMap::from([(RetailerId(0), rec)]),
+            recs: BTreeMap::from([(RetailerId(0), recs.clone())]),
+            train_stats: Vec::new(),
+            infer_stats: Vec::new(),
+            degraded: if degraded {
+                vec![RetailerId(2)]
+            } else {
+                Vec::new()
+            },
+            rejected: Vec::new(),
+        }
+    };
+    let mut monitor = QualityMonitor::new(MonitorConfig::default());
+    let fleet = [(RetailerId(0), 3), (RetailerId(2), 5)];
+    monitor.record_day(&fleet, &day_report(0, 0.3, false));
+    monitor.record_day(&fleet, &day_report(1, 0.25, true));
+    let monitor_blob = monitor.to_bytes();
+
+    let store = ServingStore::new();
+    store.publish(BTreeMap::from([
+        (RetailerId(0), recs.clone()),
+        (RetailerId(9), recs.clone()),
+    ]));
+    store.publish(BTreeMap::from([(RetailerId(3), recs.clone())]));
+    let store_blob = store.meta_bytes();
+
+    let ops = pack_ops(&[&monitor_blob, b"", &store_blob]);
+
+    let dfs = Dfs::new();
+    let checkpoints = CheckpointStore::new(&dfs, CellId(0), "/ckpt/r0/c0");
+    checkpoints.publish(2, b"first").unwrap();
+    checkpoints.publish(3, &snapshot.to_bytes()).unwrap();
+    let checkpoint_blob = dfs.peek("/ckpt/r0/c0/LIVE").unwrap().to_vec();
+
+    let mut rec = ConfigRecord::cold(RetailerId(2), 1, hp.clone());
+    rec.model_path = "/models/r2/c1/d3".into();
+    rec.warm_start_path = Some("/models/r2/c1/d2".into());
+    rec.epochs_override = Some(3);
+    rec.metrics = Some(ModelMetrics {
+        map_at_10: 0.31,
+        auc: 0.8,
+        precision_at_10: 0.1,
+        recall_at_10: 0.4,
+        ndcg_at_10: 0.5,
+        holdout_size: 17,
+        map_sampled: true,
+    });
+    let manifest = DayManifest {
+        day: 3,
+        phase: Phase::Sealed,
+        virtual_now: 123.5,
+        retailers: vec![(RetailerId(0), 40), (RetailerId(2), 55)],
+        new_since_last_run: vec![RetailerId(2)],
+        last_accepted_map: vec![0.2, f64::NAN, 0.31],
+        last_outputs: vec![
+            ConfigRecord::cold(RetailerId(0), 0, HyperParams::default()),
+            rec,
+        ],
+        ops: ops.clone(),
+    };
+
+    vec![
+        WireCase {
+            name: "hyper-params wire",
+            bytes: hp.to_wire().to_vec(),
+            sealed: false,
+            decode: |b| HyperParams::from_wire(b).map(drop),
+        },
+        WireCase {
+            name: "SGMD model snapshot",
+            bytes: snapshot.to_bytes().to_vec(),
+            sealed: true,
+            decode: |b| ModelSnapshot::from_bytes(b).map(drop),
+        },
+        WireCase {
+            name: "SGRC recs",
+            bytes: encode_recs(&recs).to_vec(),
+            sealed: false,
+            decode: |b| decode_recs(b).map(drop),
+        },
+        WireCase {
+            name: "SGCT catalog",
+            bytes: encode_catalog(&catalog).to_vec(),
+            sealed: false,
+            decode: |b| decode_catalog(b).map(drop),
+        },
+        WireCase {
+            name: "event log",
+            bytes: encode_events(&events).to_vec(),
+            sealed: false,
+            decode: |b| decode_events(b).map(drop),
+        },
+        WireCase {
+            name: "SGJL day manifest",
+            bytes: manifest.to_bytes().unwrap().to_vec(),
+            sealed: true,
+            decode: |b| DayManifest::from_bytes(b).map(drop),
+        },
+        WireCase {
+            name: "SGJL ops sections",
+            bytes: ops,
+            sealed: false,
+            decode: |b| unpack_ops(b).map(drop),
+        },
+        WireCase {
+            name: "SGQM monitor",
+            bytes: monitor_blob,
+            sealed: true,
+            decode: |b| {
+                QualityMonitor::from_bytes(MonitorConfig::default(), HealthBus::disabled(), b)
+                    .map(drop)
+            },
+        },
+        WireCase {
+            name: "SGSM store meta",
+            bytes: store_blob,
+            sealed: true,
+            decode: |b| ServingStore::restore(HealthBus::disabled(), b, BTreeMap::new()).map(drop),
+        },
+        WireCase {
+            name: "checkpoint header",
+            bytes: checkpoint_blob,
+            sealed: false,
+            decode: |b| {
+                let dfs = Dfs::new();
+                dfs.write(CellId(0), "/c/LIVE", bytes::Bytes::copy_from_slice(b))?;
+                CheckpointStore::new(&dfs, CellId(0), "/c")
+                    .latest()
+                    .map(drop)
+            },
+        },
+    ]
+}
+
+/// The proof that porting the codecs onto `sigmund_types::wire` changed no
+/// byte: each constant is `fnv1a64` of the fixture's encoding **recorded at
+/// commit 0066810**, before the port. Round-trip tests cannot see a layout
+/// change made on both the encode and the decode side; this can.
+#[test]
+fn wire_formats_are_byte_stable() {
+    let golden: [(&str, usize, u64); 10] = [
+        ("hyper-params wire", 42, 0x5dda_6c89_424f_5e68),
+        ("SGMD model snapshot", 326, 0x6d53_d0be_b498_ad05),
+        ("SGRC recs", 64, 0xeea4_86c3_e26e_5abd),
+        ("SGCT catalog", 55, 0x4d56_30e7_cf4d_b03f),
+        ("event log", 72, 0xfc64_e45b_4d4f_1d59),
+        ("SGJL day manifest", 577, 0xc4ae_571c_54c8_ba69),
+        ("SGJL ops sections", 187, 0xe629_f1be_f0c3_1f55),
+        ("SGQM monitor", 114, 0x4105_afe5_be79_c119),
+        ("SGSM store meta", 61, 0x4b74_650d_2ac4_d690),
+        ("checkpoint header", 342, 0x2102_ff5b_5d58_4b8f),
+    ];
+    let cases = wire_cases();
+    assert_eq!(cases.len(), golden.len());
+    for (case, (name, len, hash)) in cases.iter().zip(golden) {
+        assert_eq!(case.name, name);
+        (case.decode)(&case.bytes).unwrap_or_else(|e| panic!("{name}: fixture rejected: {e}"));
+        assert_eq!(
+            (case.bytes.len(), fnv1a64(&case.bytes)),
+            (len, hash),
+            "{name}: encoded bytes moved: ({}, {:#018x})",
+            case.bytes.len(),
+            fnv1a64(&case.bytes)
+        );
+    }
+}
+
+/// Every strict prefix and every single-byte substitution of every format's
+/// fixture: `Err` for the sealed formats (the trailer covers every byte),
+/// and at least no panic for the unsealed ones (the DFS frame checksum is
+/// their integrity layer; their own parser only has to stay total).
+#[test]
+fn wire_formats_survive_every_prefix_and_single_byte_mutation() {
+    for case in wire_cases() {
+        let check = |bytes: &[u8], what: String| {
+            let got = (case.decode)(bytes);
+            assert!(
+                !case.sealed || matches!(got, Err(SigmundError::Corrupt(_))),
+                "{}: {what} was accepted as {got:?}",
+                case.name
+            );
+        };
+        for cut in 0..case.bytes.len() {
+            check(&case.bytes[..cut], format!("prefix of {cut} bytes"));
+        }
+        let mut bad = case.bytes.clone();
+        for pos in 0..bad.len() {
+            for delta in 1..=u8::MAX {
+                bad[pos] = case.bytes[pos].wrapping_add(delta);
+                check(&bad, format!("byte {pos} + {delta}"));
+            }
+            bad[pos] = case.bytes[pos];
+        }
+    }
+}

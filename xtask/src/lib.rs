@@ -107,7 +107,11 @@ impl Default for Policy {
                 "crates/core/src/recs_codec.rs".into(),
                 "crates/dfs/src/".into(),
                 "crates/types/src/hash.rs".into(),
+                "crates/types/src/wire.rs".into(),
+                "crates/pipeline/src/data.rs".into(),
                 "crates/pipeline/src/journal.rs".into(),
+                "crates/pipeline/src/monitor.rs".into(),
+                "crates/serving/src/store.rs".into(),
             ],
             reference_src_prefix: "crates/core/src/".into(),
             reference_test_file: "tests/infer_fastpath.rs".into(),
@@ -821,6 +825,16 @@ mod tests {
         let v = violations("crates/core/src/snapshot.rs", src);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "cast-truncation");
+        // Every file that parses blob bytes is in scope, the shared wire
+        // reader/writer first of all.
+        for path in [
+            "crates/types/src/wire.rs",
+            "crates/pipeline/src/data.rs",
+            "crates/pipeline/src/monitor.rs",
+            "crates/serving/src/store.rs",
+        ] {
+            assert_eq!(violations(path, src).len(), 1, "{path}");
+        }
         // Widening casts are fine even in parse paths.
         let src = "fn f(n: u32) -> u64 { n as u64 }";
         assert!(violations("crates/core/src/snapshot.rs", src).is_empty());
