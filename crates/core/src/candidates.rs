@@ -168,6 +168,44 @@ impl Default for CandidateSelector {
     }
 }
 
+/// Reusable buffers of one candidate-set build: the output list and an
+/// epoch-stamped seen-set over the catalog's dense item ids.
+///
+/// `stamp[i] == epoch` means item `i` was already taken (or excluded) in
+/// the current build. Starting the next build bumps `epoch`, which forgets
+/// every mark at once; only when the counter wraps is the array rewritten.
+#[derive(Debug, Default)]
+pub(crate) struct CandidateScratch {
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// The candidates of the latest build, in selection order.
+    pub(crate) out: Vec<ItemId>,
+}
+
+impl CandidateScratch {
+    /// Starts a build over a catalog of `n_items`: nothing is seen.
+    fn begin(&mut self, n_items: usize) {
+        if self.stamp.len() < n_items {
+            self.stamp.resize(n_items, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Stamps written 2^32 builds ago would read as current.
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Marks `item` seen; true iff it was not seen before in this build.
+    #[inline]
+    fn insert(&mut self, item: ItemId) -> bool {
+        let slot = &mut self.stamp[item.index()];
+        let fresh = *slot != self.epoch;
+        *slot = self.epoch;
+        fresh
+    }
+}
+
 impl CandidateSelector {
     /// View-based candidates: `∪_{j ∈ cv(i)} lca_k(j)`, deduplicated, query
     /// item removed, capped. Falls back to `lca_k(i)` when the item has no
@@ -179,29 +217,35 @@ impl CandidateSelector {
         cooc: &CoocModel,
         item: ItemId,
     ) -> Vec<ItemId> {
-        let mut out = Vec::new();
-        let mut dedup = vec![false; catalog.len()];
-        dedup[item.index()] = true; // never recommend the query item
+        let mut scratch = CandidateScratch::default();
+        self.view_based_into(catalog, index, cooc, item, &mut scratch);
+        scratch.out
+    }
+
+    /// [`CandidateSelector::view_based`] into `scratch.out`, reusing
+    /// `scratch` across calls instead of allocating per query.
+    pub(crate) fn view_based_into(
+        &self,
+        catalog: &Catalog,
+        index: &CandidateIndex,
+        cooc: &CoocModel,
+        item: ItemId,
+        scratch: &mut CandidateScratch,
+    ) {
+        scratch.out.clear();
+        scratch.begin(catalog.len());
+        scratch.insert(item); // never recommend the query item
         let cv = cooc.co_viewed(item);
         if cv.is_empty() {
-            self.extend(
-                index.lca_k(catalog, item, self.view_k),
-                &mut dedup,
-                &mut out,
-            );
+            self.extend(index.lca_k(catalog, item, self.view_k), scratch);
         } else {
             for j in cv {
-                self.extend(
-                    index.lca_k(catalog, j.item, self.view_k),
-                    &mut dedup,
-                    &mut out,
-                );
-                if out.len() >= self.max_candidates {
+                self.extend(index.lca_k(catalog, j.item, self.view_k), scratch);
+                if scratch.out.len() >= self.max_candidates {
                     break;
                 }
             }
         }
-        out
     }
 
     /// Purchase-based candidates: `∪_{j ∈ cb(i)} lca_k(j) \ lca_k(i)` —
@@ -215,27 +259,41 @@ impl CandidateSelector {
         repurchase: &RepurchaseStats,
         item: ItemId,
     ) -> Vec<ItemId> {
-        let mut dedup = vec![false; catalog.len()];
-        dedup[item.index()] = true;
-        let skip_difference = repurchase.is_repurchasable(catalog.category(item));
-        if !skip_difference {
+        let mut scratch = CandidateScratch::default();
+        self.purchase_based_into(catalog, index, cooc, repurchase, item, &mut scratch);
+        scratch.out
+    }
+
+    /// [`CandidateSelector::purchase_based`] into `scratch.out`, as
+    /// [`CandidateSelector::view_based_into`].
+    pub(crate) fn purchase_based_into(
+        &self,
+        catalog: &Catalog,
+        index: &CandidateIndex,
+        cooc: &CoocModel,
+        repurchase: &RepurchaseStats,
+        item: ItemId,
+        scratch: &mut CandidateScratch,
+    ) {
+        scratch.out.clear();
+        let cb = cooc.co_bought(item);
+        if cb.is_empty() {
+            return; // nothing to expand: the seen-set is never touched
+        }
+        scratch.begin(catalog.len());
+        scratch.insert(item);
+        if !repurchase.is_repurchasable(catalog.category(item)) {
             // Remove substitutes of i (its own lca₁ neighbourhood).
             for &s in index.lca_k(catalog, item, self.purchase_k) {
-                dedup[s.index()] = true;
+                scratch.insert(s);
             }
         }
-        let mut out = Vec::new();
-        for j in cooc.co_bought(item) {
-            self.extend(
-                index.lca_k(catalog, j.item, self.purchase_k),
-                &mut dedup,
-                &mut out,
-            );
-            if out.len() >= self.max_candidates {
+        for j in cb {
+            self.extend(index.lca_k(catalog, j.item, self.purchase_k), scratch);
+            if scratch.out.len() >= self.max_candidates {
                 break;
             }
         }
-        out
     }
 
     /// Late-funnel narrowing: keep only candidates sharing the query item's
@@ -253,14 +311,13 @@ impl CandidateSelector {
         candidates.retain(|c| catalog.meta(*c).facet == Some(facet));
     }
 
-    fn extend(&self, items: &[ItemId], dedup: &mut [bool], out: &mut Vec<ItemId>) {
+    fn extend(&self, items: &[ItemId], scratch: &mut CandidateScratch) {
         for &i in items {
-            if out.len() >= self.max_candidates {
+            if scratch.out.len() >= self.max_candidates {
                 return;
             }
-            if !dedup[i.index()] {
-                dedup[i.index()] = true;
-                out.push(i);
+            if scratch.insert(i) {
+                scratch.out.push(i);
             }
         }
     }
@@ -452,5 +509,76 @@ mod tests {
         };
         let cands = sel.view_based(&c, &idx, &cooc, ItemId(0));
         assert!(cands.len() <= 2);
+    }
+
+    /// A generated retailer: real co-view / co-buy lists, cold items and a
+    /// multi-level taxonomy.
+    fn generated() -> (Catalog, CandidateIndex, CoocModel, RepurchaseStats) {
+        let data = sigmund_datagen::RetailerSpec::sized(RetailerId(0), 60, 80, 10).generate();
+        let cooc = CoocModel::build(data.catalog.len(), &data.events, CoocConfig::default());
+        let idx = CandidateIndex::build(&data.catalog);
+        let rep = RepurchaseStats::estimate(&data.catalog, &data.events, 0.3);
+        (data.catalog, idx, cooc, rep)
+    }
+
+    fn selectors() -> [CandidateSelector; 4] {
+        let with = |view_k, purchase_k, max_candidates| CandidateSelector {
+            view_k,
+            purchase_k,
+            max_candidates,
+        };
+        [
+            CandidateSelector::default(),
+            with(2, 1, 7),
+            with(3, 2, 25),
+            with(2, 1, 0),
+        ]
+    }
+
+    /// Runs `queries` pseudo-random selections through `scratch` and holds
+    /// each to the allocating wrapper; returns how many lists were
+    /// non-empty and how many hit their cap.
+    fn assert_scratch_matches_wrappers(scratch: &mut CandidateScratch, queries: u32) -> (u32, u32) {
+        let (c, idx, cooc, rep) = generated();
+        let selectors = selectors();
+        let (mut non_empty, mut capped) = (0, 0);
+        let mut state = 12345u32;
+        for q in 0..queries {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            let item = ItemId((state >> 8) % c.len() as u32);
+            let sel = &selectors[(state >> 28) as usize % selectors.len()];
+            let want = if q % 2 == 0 {
+                sel.view_based_into(&c, &idx, &cooc, item, scratch);
+                sel.view_based(&c, &idx, &cooc, item)
+            } else {
+                sel.purchase_based_into(&c, &idx, &cooc, &rep, item, scratch);
+                sel.purchase_based(&c, &idx, &cooc, &rep, item)
+            };
+            assert_eq!(scratch.out, want, "query {q} item {item:?} {sel:?}");
+            non_empty += u32::from(!want.is_empty());
+            capped += u32::from(sel.max_candidates > 0 && want.len() == sel.max_candidates);
+        }
+        (non_empty, capped)
+    }
+
+    #[test]
+    fn reused_scratch_equals_allocating_wrappers() {
+        let mut scratch = CandidateScratch::default();
+        let (non_empty, capped) = assert_scratch_matches_wrappers(&mut scratch, 10_000);
+        assert!(non_empty > 1_000 && capped > 100, "{non_empty} {capped}");
+        assert!(scratch.epoch > 5_000, "one epoch per build that dedups");
+    }
+
+    #[test]
+    fn scratch_survives_epoch_wrap() {
+        let mut scratch = CandidateScratch::default();
+        // The first query stamps its candidates with epoch 1. Repeating it
+        // right at the wrap lands on epoch 1 again, where those stale
+        // stamps would hide every candidate.
+        let (non_empty, _) = assert_scratch_matches_wrappers(&mut scratch, 1);
+        assert_eq!((non_empty, scratch.epoch), (1, 1));
+        scratch.epoch = u32::MAX;
+        assert_scratch_matches_wrappers(&mut scratch, 40);
+        assert!(scratch.epoch < 100, "wrapped: {}", scratch.epoch);
     }
 }

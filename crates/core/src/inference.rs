@@ -14,11 +14,14 @@
 //!
 //! Scoring a candidate used to re-walk taxonomy ancestors and re-sum
 //! brand/price rows (`score_with` → `item_rep_into`) per candidate per
-//! query. The engine instead materializes both representation matrices once
-//! at construction — [`ItemRepMatrix`] for the scored side and
-//! [`CtxRepMatrix`] for the context side — after which a query is one
-//! weighted row-sum plus one flat [`dot`] per candidate, and top-K is a
-//! bounded selection instead of a full sort. Results are bitwise-identical
+//! query. The engine instead scores from two representation matrices built
+//! once per retailer — [`ItemRepMatrix`] for the scored side and
+//! [`CtxRepMatrix`] for the context side, materialized by
+//! [`InferenceEngine::new`] or handed in through
+//! [`InferenceEngine::from_reps`] — after which a query is one weighted
+//! row-sum plus one flat [`dot`] per candidate, scored a block of
+//! independent lanes at a time, and top-K is a bounded insertion instead
+//! of a full sort. Results are bitwise-identical
 //! to the per-candidate walks because every floating-point add happens in
 //! the same order; the `*_reference` methods keep the original path alive
 //! as an executable spec (`tests/infer_fastpath.rs` proves equivalence).
@@ -28,9 +31,11 @@
 //! output at any thread count — the opposite contract from Hogwild training,
 //! which is deliberately racy.
 
-use crate::candidates::{CandidateIndex, CandidateSelector, RepurchaseStats};
+use crate::candidates::{CandidateIndex, CandidateScratch, CandidateSelector, RepurchaseStats};
 use crate::cooc::CoocModel;
-use crate::model::{dot, BprModel, ContextEvent, CtxRepMatrix, ItemRepMatrix};
+use crate::model::{
+    dot, dot_block, BprModel, ContextEvent, CtxRepMatrix, ItemRepMatrix, DOT_LANES,
+};
 use sigmund_types::{ActionType, Catalog, ItemId};
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
@@ -62,8 +67,8 @@ pub struct ItemRecs {
 /// (NaN/±∞ from a diverged model) sort after every finite score, ordered
 /// among themselves by ascending id.
 ///
-/// This is a total order (ids are unique), which `select_nth_unstable_by`
-/// requires and which makes bounded top-K agree exactly with a full sort.
+/// This is a total order (ids are unique), which is what makes bounded
+/// top-K agree exactly with a full sort.
 /// It also matches the `metrics::rank_of` invariant that non-finite scores
 /// rank last — a diverged model must not surface garbage above real
 /// recommendations.
@@ -80,27 +85,30 @@ pub fn rec_order(a: &(ItemId, f32), b: &(ItemId, f32)) -> Ordering {
     }
 }
 
-/// Keeps the top `k` of `scored` under [`rec_order`], sorted. Exactly
-/// equivalent to `sort_by(rec_order); truncate(k)` but O(n + k log k):
-/// partition around the k-th element, drop the tail, sort the survivors.
-fn top_k_in_place(scored: &mut Vec<(ItemId, f32)>, k: usize) {
-    if k == 0 {
-        scored.clear();
-        return;
+/// Offers `cand` to `top`, the best `k >= 1` seen so far, sorted under
+/// [`rec_order`]. Once `top` is full, a candidate that does not beat the
+/// current k-th — almost every one — costs a single comparison. Because
+/// `rec_order` is total, the survivors are exactly
+/// `sort_by(rec_order); truncate(k)` of everything offered.
+#[inline]
+fn offer(top: &mut RecList, k: usize, cand: (ItemId, f32)) {
+    if top.len() == k {
+        if rec_order(&cand, &top[k - 1]) != Ordering::Less {
+            return;
+        }
+        top.pop();
     }
-    if scored.len() > k {
-        scored.select_nth_unstable_by(k - 1, rec_order);
-        scored.truncate(k);
-    }
-    scored.sort_unstable_by(rec_order);
+    let at = top.partition_point(|kept| rec_order(kept, &cand) == Ordering::Less);
+    top.insert(at, cand);
 }
 
 /// Reusable per-engine buffers: the seed path allocated `weights`, a rep
-/// scratch row, and a user vector on every `rank` call.
+/// scratch row, a user vector and a catalog-sized dedup array on every
+/// query.
 struct Scratch {
     weights: Vec<f32>,
     user_vec: Vec<f32>,
-    buf: Vec<(ItemId, f32)>,
+    candidates: CandidateScratch,
 }
 
 impl Scratch {
@@ -108,17 +116,17 @@ impl Scratch {
         Self {
             weights: Vec::new(),
             user_vec: vec![0.0; dim],
-            buf: Vec::new(),
+            candidates: CandidateScratch::default(),
         }
     }
 }
 
 /// Per-retailer inference engine. Borrows all the per-retailer artifacts.
 ///
-/// Construction materializes both representation matrices
-/// (`2 × n_items × dim × 4` bytes), snapshotting the model parameters:
-/// an engine must be built *after* training finishes, never share a model
-/// that is still being updated.
+/// The two representation matrices (`2 × n_items × dim × 4` bytes)
+/// snapshot the model parameters: they — and so the engine — must be built
+/// *after* training finishes, never from a model that is still being
+/// updated.
 pub struct InferenceEngine<'a> {
     model: &'a BprModel,
     catalog: &'a Catalog,
@@ -145,6 +153,33 @@ impl<'a> InferenceEngine<'a> {
         cooc: &'a CoocModel,
         repurchase: &'a RepurchaseStats,
     ) -> Self {
+        Self::from_reps(
+            model,
+            catalog,
+            index,
+            cooc,
+            repurchase,
+            Arc::new(model.materialize_item_reps(catalog)),
+            Arc::new(model.materialize_context_reps(catalog)),
+        )
+    }
+
+    /// Creates an engine with the default selector over representation
+    /// matrices the caller materialized from `model` and `catalog`
+    /// ([`BprModel::materialize_item_reps`],
+    /// [`BprModel::materialize_context_reps`]) — so that many engines over
+    /// one retailer, e.g. one per inference split, share one build.
+    pub fn from_reps(
+        model: &'a BprModel,
+        catalog: &'a Catalog,
+        index: &'a CandidateIndex,
+        cooc: &'a CoocModel,
+        repurchase: &'a RepurchaseStats,
+        item_reps: Arc<ItemRepMatrix>,
+        ctx_reps: Arc<CtxRepMatrix>,
+    ) -> Self {
+        assert_eq!(item_reps.len(), catalog.len(), "item reps / catalog");
+        assert_eq!(ctx_reps.len(), catalog.len(), "context reps / catalog");
         Self {
             model,
             catalog,
@@ -152,8 +187,8 @@ impl<'a> InferenceEngine<'a> {
             cooc,
             repurchase,
             selector: CandidateSelector::default(),
-            item_reps: Arc::new(model.materialize_item_reps(catalog)),
-            ctx_reps: Arc::new(model.materialize_context_reps(catalog)),
+            item_reps,
+            ctx_reps,
             scored: Cell::new(0),
             scratch: RefCell::new(Scratch::new(model.dim())),
         }
@@ -190,9 +225,8 @@ impl<'a> InferenceEngine<'a> {
 
     /// Top-`k` recommendations for a single-item context.
     pub fn recommend_for_item(&self, item: ItemId, task: RecTask, k: usize) -> RecList {
-        let candidates = self.candidates_for(item, task, &self.selector);
         let context = [single_item_context(item, task)];
-        self.rank(&context, &candidates, k)
+        self.recommend(&context, item, task, k, &self.selector, false)
     }
 
     /// Top-`k` recommendations for an arbitrary user context (used at request
@@ -203,11 +237,7 @@ impl<'a> InferenceEngine<'a> {
         task: RecTask,
         k: usize,
     ) -> RecList {
-        let Some(&(last_item, _)) = context.last() else {
-            return RecList::new();
-        };
-        let candidates = self.candidates_for(last_item, task, &self.selector);
-        self.rank(context, &candidates, k)
+        self.recommend_for_context_with(context, task, k, &self.selector, false)
     }
 
     /// Like [`InferenceEngine::recommend_for_context`], but with an explicit
@@ -224,11 +254,44 @@ impl<'a> InferenceEngine<'a> {
         let Some(&(last_item, _)) = context.last() else {
             return RecList::new();
         };
-        let mut candidates = self.candidates_for(last_item, task, selector);
-        if facet_constrained {
-            selector.constrain_to_facet(self.catalog, last_item, &mut candidates);
+        self.recommend(context, last_item, task, k, selector, facet_constrained)
+    }
+
+    /// The one production query path: select `anchor`'s candidates into the
+    /// engine's scratch (no per-query allocation), optionally narrow them to
+    /// its facet, and rank them against `context`.
+    fn recommend(
+        &self,
+        context: &[ContextEvent],
+        anchor: ItemId,
+        task: RecTask,
+        k: usize,
+        selector: &CandidateSelector,
+        facet_constrained: bool,
+    ) -> RecList {
+        let mut scratch = self.scratch.borrow_mut();
+        let Scratch {
+            weights,
+            user_vec,
+            candidates,
+        } = &mut *scratch;
+        match task {
+            RecTask::ViewBased => {
+                selector.view_based_into(self.catalog, self.index, self.cooc, anchor, candidates)
+            }
+            RecTask::PurchaseBased => selector.purchase_based_into(
+                self.catalog,
+                self.index,
+                self.cooc,
+                self.repurchase,
+                anchor,
+                candidates,
+            ),
         }
-        self.rank(context, &candidates, k)
+        if facet_constrained {
+            selector.constrain_to_facet(self.catalog, anchor, &mut candidates.out);
+        }
+        self.rank(context, &candidates.out, k, weights, user_vec)
     }
 
     /// Materializes both surfaces for every catalog item (single-threaded).
@@ -310,31 +373,40 @@ impl<'a> InferenceEngine<'a> {
     }
 
     /// Scores `candidates` against `context` and keeps the top `k`:
-    /// prematerialized user vector + one [`dot`] per candidate + bounded
-    /// top-K under [`rec_order`].
-    fn rank(&self, context: &[ContextEvent], candidates: &[ItemId], k: usize) -> RecList {
+    /// prematerialized user vector, then [`DOT_LANES`] candidates per
+    /// [`dot_block`] (the remainder through [`dot`]; every score is the
+    /// bits `dot` gives), each offered to a bounded top-K under
+    /// [`rec_order`]. `weights` and `user_vec` are clobbered.
+    fn rank(
+        &self,
+        context: &[ContextEvent],
+        candidates: &[ItemId],
+        k: usize,
+        weights: &mut Vec<f32>,
+        user_vec: &mut [f32],
+    ) -> RecList {
         if candidates.is_empty() || k == 0 {
             return RecList::new();
         }
-        let mut scratch = self.scratch.borrow_mut();
-        let Scratch {
-            weights,
-            user_vec,
-            buf,
-        } = &mut *scratch;
         self.model
             .user_embedding_from_reps(&self.ctx_reps, context, weights, user_vec);
-        buf.clear();
-        buf.extend(
-            candidates
-                .iter()
-                .map(|&c| (c, dot(user_vec, self.item_reps.rep(c)))),
-        );
-        self.scored.set(self.scored.get() + buf.len() as u64);
-        top_k_in_place(buf, k);
-        buf.clone()
+        let mut top = RecList::with_capacity(k.min(candidates.len()));
+        let (blocks, rest) = candidates.as_chunks::<DOT_LANES>();
+        for block in blocks {
+            let scores = dot_block(user_vec, block.map(|c| self.item_reps.rep(c)));
+            for (&c, score) in block.iter().zip(scores) {
+                offer(&mut top, k, (c, score));
+            }
+        }
+        for &c in rest {
+            offer(&mut top, k, (c, dot(user_vec, self.item_reps.rep(c))));
+        }
+        self.scored.set(self.scored.get() + candidates.len() as u64);
+        top
     }
 
+    /// Candidate selection as the reference path runs it: a fresh list (and
+    /// seen-set) per query, through the selector's allocating wrappers.
     fn candidates_for(
         &self,
         item: ItemId,
@@ -482,6 +554,20 @@ mod tests {
         recs.iter().map(|(i, s)| (i.0, s.to_bits())).collect()
     }
 
+    /// `rank` over an explicit candidate list, on the engine's own scratch.
+    fn rank(
+        eng: &InferenceEngine<'_>,
+        ctx: &[ContextEvent],
+        candidates: &[ItemId],
+        k: usize,
+    ) -> RecList {
+        let mut scratch = eng.scratch.borrow_mut();
+        let Scratch {
+            weights, user_vec, ..
+        } = &mut *scratch;
+        eng.rank(ctx, candidates, k, weights, user_vec)
+    }
+
     #[test]
     fn view_based_returns_ranked_substitutes() {
         let (c, cooc, index, rep) = setup();
@@ -591,7 +677,7 @@ mod tests {
         let eng = InferenceEngine::new(&m, &c, &index, &cooc, &rep);
         let ctx = [(ItemId(0), ActionType::View)];
         let candidates: Vec<ItemId> = (1..8).map(ItemId).collect();
-        let recs = eng.rank(&ctx, &candidates, candidates.len());
+        let recs = rank(&eng, &ctx, &candidates, candidates.len());
         assert_eq!(recs.len(), 7);
         let finite: Vec<u32> = recs
             .iter()
@@ -605,7 +691,7 @@ mod tests {
         // for the full list and under truncation through the class border.
         for k in [1usize, 4, 5, 7] {
             assert_eq!(
-                bits(&eng.rank(&ctx, &candidates, k)),
+                bits(&rank(&eng, &ctx, &candidates, k)),
                 bits(&eng.rank_reference(&ctx, &candidates, k)),
                 "k {k}"
             );

@@ -404,6 +404,32 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
 }
 
+/// Candidates scored per [`dot_block`] call on the inference fast path.
+pub(crate) const DOT_LANES: usize = 16;
+
+/// `B` independent [`dot`]s of `a` against `rows`, one result per lane.
+///
+/// Every lane starts from `dot`'s own initial value and adds its products
+/// in index order, so lane `l` is bit-for-bit `dot(a, rows[l])`. What the
+/// block buys is latency: a lone `dot` is one dependent chain of `f32`
+/// adds, while `B` chains that never feed each other overlap in the
+/// pipeline. Nothing is reassociated — there is no sum *across* lanes.
+#[inline]
+pub(crate) fn dot_block<const B: usize>(a: &[f32], rows: [&[f32]; B]) -> [f32; B] {
+    if rows.iter().any(|r| r.len() != a.len()) {
+        // Mismatched lengths (never matrix rows): `dot` pairs over the
+        // shorter side, and each lane must do so on its own.
+        return rows.map(|r| dot(a, r));
+    }
+    let mut acc = [dot(&[], &[]); B];
+    for (d, &x) in a.iter().enumerate() {
+        for (lane, row) in acc.iter_mut().zip(rows.iter()) {
+            *lane += x * row[d];
+        }
+    }
+    acc
+}
+
 /// Standard-normal sample via the Irwin–Hall(12) approximation (mean 0,
 /// variance 1) — good enough for initialization and allocation-free.
 #[inline]
@@ -679,6 +705,67 @@ mod tests {
         let want: f32 = a.iter().zip(b.iter()).map(|(x, y)| x * y).sum();
         assert_eq!(dot(&a, &b).to_bits(), want.to_bits());
         assert_eq!(dot(&[], &[]), 0.0);
+    }
+
+    #[test]
+    fn dot_block_lanes_are_bitwise_dot() {
+        // Values whose sums expose a changed initial value (all products
+        // -0.0 sum to -0.0 only from a -0.0 start), a changed order
+        // (rounding, subnormals, cancellation) or a dropped term
+        // (NaN/±∞ are sticky).
+        let pool = [
+            1.5f32,
+            -2.25,
+            0.0,
+            -0.0,
+            1e-41,  // subnormal
+            -3e-45, // subnormal
+            3.0e38,
+            -3.0e38,
+            1.0e-3,
+            7.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        let mut state = 0x9E37_79B9u32;
+        let mut draw = |special: bool| {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            let n = if special { pool.len() } else { 10 };
+            pool[(state >> 8) as usize % n]
+        };
+        for len in 0..=33usize {
+            for round in 0..8 {
+                let special = round % 2 == 1;
+                let a: Vec<f32> = (0..len).map(|_| draw(special)).collect();
+                let rows: Vec<Vec<f32>> = (0..DOT_LANES)
+                    .map(|_| (0..len).map(|_| draw(special)).collect())
+                    .collect();
+                let got = dot_block::<DOT_LANES>(&a, std::array::from_fn(|l| &rows[l][..]));
+                for (l, row) in rows.iter().enumerate() {
+                    // Which NaN an operation returns (sign, payload) is
+                    // unspecified in Rust; every other value is held to
+                    // the bit.
+                    let want = dot(&a, row);
+                    assert!(
+                        got[l].to_bits() == want.to_bits() || (got[l].is_nan() && want.is_nan()),
+                        "len {len} round {round} lane {l}: {} vs {want}",
+                        got[l]
+                    );
+                }
+            }
+        }
+        // Signed zeros: the start value shows in the sign of an all-zero sum.
+        let neg = [-0.0f32; 5];
+        let pos = [1.0f32; 5];
+        let got = dot_block::<2>(&pos, [&neg, &pos]);
+        assert_eq!(got[0].to_bits(), dot(&pos, &neg).to_bits());
+        assert_eq!(got[1].to_bits(), 5.0f32.to_bits());
+        // Ragged rows: each lane pairs over its own shorter side, like `dot`.
+        let got = dot_block::<2>(&pos, [&pos[..2], &pos[..]]);
+        assert_eq!(got, [2.0, 5.0]);
+        let got = dot_block::<2>(&pos[..3], [&pos[..], &pos[..1]]);
+        assert_eq!(got, [3.0, 1.0]);
     }
 
     #[test]

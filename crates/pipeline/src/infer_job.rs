@@ -6,7 +6,10 @@
 //! machines", small ones one). A map task loads the retailer's **best**
 //! model once (one model in memory per task — Section IV-C2), materializes
 //! the representation matrices, selects candidates, scores them, and emits
-//! the top-K lists for both surfaces.
+//! the top-K lists for both surfaces. In this process the load and the two
+//! matrices are computed once per retailer and shared by its splits (every
+//! attempt is still *charged* for them in virtual time), and dropped when
+//! the retailer's last split is done.
 //!
 //! A task may fan its item range out over [`InferenceJob::threads`] scoped
 //! worker threads ([`InferenceEngine::map_items`]): inference is read-only,
@@ -67,8 +70,19 @@ struct RetailerInferState {
     cooc: CoocModel,
     index: CandidateIndex,
     repurchase: RepurchaseStats,
+    /// The model's two representation matrices, which every split's engine
+    /// scores from.
+    item_reps: Arc<ItemRepMatrix>,
+    ctx_reps: Arc<CtxRepMatrix>,
     model_bytes: u64,
     hybrid: HybridPolicy,
+}
+
+/// A retailer's slot in the job's state cache.
+struct Resident {
+    /// Splits of the retailer that have not yet returned `Done`.
+    splits_left: usize,
+    state: Option<Arc<RetailerInferState>>,
 }
 
 /// Output row: materialized recommendations for one item.
@@ -103,7 +117,11 @@ pub struct InferenceJob<'a> {
     /// resident output to one split regardless of fleet size (DESIGN.md §12).
     pub persist_splits: bool,
     selector: CandidateSelector,
-    cache: Mutex<BTreeMap<RetailerId, Arc<RetailerInferState>>>,
+    /// Item count per retailer: the largest end among its splits.
+    items: BTreeMap<RetailerId, u32>,
+    /// Shared per-retailer state, resident from a retailer's first split
+    /// until its last one is done.
+    cache: Mutex<BTreeMap<RetailerId, Resident>>,
     outputs: Mutex<Vec<MaterializedRec>>,
 }
 
@@ -117,6 +135,19 @@ impl<'a> InferenceJob<'a> {
         best: BTreeMap<RetailerId, ConfigRecord>,
         cost: CostModel,
     ) -> Self {
+        let mut items = BTreeMap::new();
+        let mut cache = BTreeMap::new();
+        for sp in &splits {
+            let n = items.entry(sp.retailer).or_insert(0);
+            *n = sp.end.max(*n);
+            cache
+                .entry(sp.retailer)
+                .or_insert(Resident {
+                    splits_left: 0,
+                    state: None,
+                })
+                .splits_left += 1;
+        }
         Self {
             dfs,
             cell,
@@ -128,7 +159,8 @@ impl<'a> InferenceJob<'a> {
             obs: Obs::disabled(),
             persist_splits: false,
             selector: CandidateSelector::default(),
-            cache: Mutex::new(BTreeMap::new()),
+            items,
+            cache: Mutex::new(cache),
             outputs: Mutex::new(Vec::new()),
         }
     }
@@ -153,7 +185,7 @@ impl<'a> InferenceJob<'a> {
         &self,
         r: RetailerId,
     ) -> Result<Arc<RetailerInferState>, sigmund_types::SigmundError> {
-        if let Some(s) = self.cache.lock().get(&r) {
+        if let Some(s) = self.cache.lock().get(&r).and_then(|e| e.state.as_ref()) {
             return Ok(Arc::clone(s));
         }
         let rec = self.best.get(&r).ok_or_else(|| {
@@ -167,17 +199,38 @@ impl<'a> InferenceJob<'a> {
         let cooc = CoocModel::build(catalog.len(), &events, CoocConfig::default());
         let index = CandidateIndex::build(&catalog);
         let repurchase = RepurchaseStats::estimate(&catalog, &events, 0.3);
+        let item_reps = Arc::new(model.materialize_item_reps(&catalog));
+        let ctx_reps = Arc::new(model.materialize_context_reps(&catalog));
+        self.obs.counter("infer.rep_builds", 1);
         let state = Arc::new(RetailerInferState {
             catalog,
             model,
             cooc,
             index,
             repurchase,
+            item_reps,
+            ctx_reps,
             model_bytes,
             hybrid: HybridPolicy::default(),
         });
-        self.cache.lock().insert(r, Arc::clone(&state));
+        if let Some(e) = self.cache.lock().get_mut(&r) {
+            e.state = Some(Arc::clone(&state));
+        }
         Ok(state)
+    }
+
+    /// One of `r`'s splits is done; the last one takes the retailer out of
+    /// the cache, so the job holds rep matrices only for retailers with
+    /// work left. Pre-empted and failed attempts never get here, so a retry
+    /// finds the state still resident.
+    fn split_done(&self, r: RetailerId) {
+        let mut cache = self.cache.lock();
+        if let Some(e) = cache.get_mut(&r) {
+            e.splits_left -= 1;
+            if e.splits_left == 0 {
+                cache.remove(&r);
+            }
+        }
     }
 }
 
@@ -199,19 +252,22 @@ impl MapTask for InferenceJob<'_> {
         if !ctx.consume(self.cost.load_seconds(state.model_bytes)) {
             return MapStatus::Preempted;
         }
-        // Building the engine materializes both representation matrices —
-        // one rep per catalog item and side — which every attempt pays for
-        // in virtual time before any scoring happens.
+        // Likewise the two representation matrices — one rep per catalog
+        // item and side: shared here, but a task elsewhere would build its
+        // own, so every attempt pays for them in virtual time before any
+        // scoring happens.
         let rep_build_s = self.cost.scoring_seconds(2 * state.catalog.len() as u64);
         if !ctx.consume(rep_build_s) {
             return MapStatus::Preempted;
         }
-        let engine = InferenceEngine::new(
+        let engine = InferenceEngine::from_reps(
             &state.model,
             &state.catalog,
             &state.index,
             &state.cooc,
             &state.repurchase,
+            Arc::clone(&state.item_reps),
+            Arc::clone(&state.ctx_reps),
         )
         .with_selector(self.selector.clone());
         self.obs.gauge("infer.rep_build_s", ctx.now(), rep_build_s);
@@ -242,19 +298,15 @@ impl MapTask for InferenceJob<'_> {
         // sequence (and thus preemption sampling and traces) must not
         // depend on the thread count.
         let mut split_scored = 0u64;
-        let mut local = Vec::with_capacity((sp.end - sp.start) as usize);
-        for (offset, (recs, scored)) in per_item.into_iter().enumerate() {
+        let mut table: Vec<ItemRecs> = Vec::with_capacity((sp.end - sp.start) as usize);
+        for (recs, scored) in per_item {
             if !ctx.consume(self.cost.scoring_seconds(scored.max(1))) {
                 // Discard partial output; the re-executed attempt redoes the
                 // whole split (idempotent).
                 return MapStatus::Preempted;
             }
             split_scored += scored;
-            local.push(MaterializedRec {
-                retailer: sp.retailer,
-                item: ItemId(sp.start + offset as u32),
-                recs,
-            });
+            table.push(recs);
         }
         if self.persist_splits {
             // Streaming sink: the split's output leaves memory immediately as
@@ -264,7 +316,6 @@ impl MapTask for InferenceJob<'_> {
             // blob or the new one, and orphaned `/TMP` siblings are swept by
             // the day-end cleanup and `Dfs::scrub`. A failed write or rename
             // is retryable like any other fault in the attempt.
-            let table: Vec<ItemRecs> = local.iter().map(|m| m.recs.clone()).collect();
             let part = data::recs_part_path(sp.retailer, sp.start);
             let tmp = format!("{part}/TMP");
             if self
@@ -277,7 +328,7 @@ impl MapTask for InferenceJob<'_> {
             }
         }
         self.obs
-            .counter("infer.items_materialized", local.len() as u64);
+            .counter("infer.items_materialized", table.len() as u64);
         self.obs.counter("infer.candidates_scored", split_scored);
         if ctx.used() > 0.0 {
             self.obs.gauge(
@@ -287,8 +338,15 @@ impl MapTask for InferenceJob<'_> {
             );
         }
         if !self.persist_splits {
-            self.outputs.lock().extend(local);
+            self.outputs
+                .lock()
+                .extend((sp.start..).zip(table).map(|(item, recs)| MaterializedRec {
+                    retailer: sp.retailer,
+                    item: ItemId(item),
+                    recs,
+                }));
         }
+        self.split_done(sp.retailer);
         MapStatus::Done
     }
 
@@ -313,14 +371,8 @@ impl MapTask for InferenceJob<'_> {
             .map(|r| r.params.factors)
             .unwrap_or(16);
         // One model in memory at a time, plus the engine's two materialized
-        // representation matrices (item- and context-side, f32 rows). The
-        // retailer's item count is the largest split end for that retailer.
-        let items = self
-            .splits
-            .iter()
-            .filter(|s| s.retailer == sp.retailer)
-            .map(|s| s.end as f64)
-            .fold(0.0, f64::max);
+        // representation matrices (item- and context-side, f32 rows).
+        let items = self.items.get(&sp.retailer).copied().unwrap_or(0) as f64;
         let rep_matrix_gb = 2.0 * items * factors as f64 * 4.0 / 1e9;
         // The model term must use the retailer's real item count: passing 0
         // collapsed it to the floor and under-packed large retailers, so a
@@ -357,7 +409,11 @@ mod tests {
 
     /// Trains one retailer end-to-end and returns its best record.
     fn trained_retailer(dfs: &Dfs, seed: u64) -> (Catalog, ConfigRecord) {
-        let mut spec = RetailerSpec::small(RetailerId(0), seed);
+        trained(dfs, RetailerId(0), seed)
+    }
+
+    fn trained(dfs: &Dfs, retailer: RetailerId, seed: u64) -> (Catalog, ConfigRecord) {
+        let mut spec = RetailerSpec::small(retailer, seed);
         spec.n_items = 50;
         spec.n_users = 60;
         let datum = spec.generate();
@@ -444,8 +500,13 @@ mod tests {
         let mean_split = clean.cost.total_cpu_s() / splits.len() as f64;
         assert!(mean_split > 0.0);
         let rate_per_hour = 3600.0 / (mean_split / 2.0);
-        let job = InferenceJob::new(&dfs, CellId(0), splits.clone(), map, CostModel::default());
+        let mut job = InferenceJob::new(&dfs, CellId(0), splits.clone(), map, CostModel::default());
+        job.obs = Obs::recording(sigmund_obs::Level::Debug);
         let stats = run_map_job(&job, splits.len(), &cfg(rate_per_hour, 9));
+        // Only `Done` counts a split off, so every retry found the state
+        // the first attempt built, and the last `Done` dropped it.
+        assert_eq!(job.obs.metrics().unwrap().counter("infer.rep_builds"), 1);
+        assert!(job.cache.lock().is_empty());
         let outputs = job.take_outputs();
         let mut seen: Vec<u32> = outputs.iter().map(|m| m.item.0).collect();
         seen.sort_unstable();
@@ -547,5 +608,112 @@ mod tests {
         );
         run_map_job(&job, 1, &cfg(0.0, 1));
         assert!(job.take_outputs().is_empty());
+    }
+
+    #[test]
+    fn memory_gb_matches_the_per_call_scan() {
+        // What `memory_gb` computed before the item count moved into `new`:
+        // a scan of the whole split list for the retailer's largest end.
+        fn scanned(job: &InferenceJob<'_>, split: usize) -> f64 {
+            let sp = job.splits[split];
+            let factors = job
+                .best
+                .get(&sp.retailer)
+                .map(|r| r.params.factors)
+                .unwrap_or(16);
+            let items = job
+                .splits
+                .iter()
+                .filter(|s| s.retailer == sp.retailer)
+                .map(|s| s.end as f64)
+                .fold(0.0, f64::max);
+            let rep_matrix_gb = 2.0 * items * factors as f64 * 4.0 / 1e9;
+            job.cost.model_memory_gb(items as usize, factors).max(0.05) + rep_matrix_gb
+        }
+        let dfs = Dfs::new();
+        let (_, best) = trained_retailer(&dfs, 3);
+        let mut wide = best.clone();
+        wide.params.factors = 64;
+        // Retailer 7 has a model record, 2 a wider one, 5 none (default 16).
+        let map = BTreeMap::from([(RetailerId(7), best), (RetailerId(2), wide)]);
+        let splits = make_splits(
+            &[
+                (RetailerId(7), 2_500_000),
+                (RetailerId(2), 301),
+                (RetailerId(5), 40_000),
+            ],
+            100_000,
+        );
+        assert!(splits.len() > 3);
+        let job = InferenceJob::new(&dfs, CellId(0), splits.clone(), map, CostModel::default());
+        for s in 0..splits.len() {
+            assert_eq!(
+                job.memory_gb(s).to_bits(),
+                scanned(&job, s).to_bits(),
+                "split {s}"
+            );
+        }
+        assert!(job.memory_gb(0) > job.memory_gb(splits.len() - 1));
+    }
+
+    #[test]
+    fn finished_retailers_leave_the_cache() {
+        let dfs = Dfs::new();
+        let (cat0, best0) = trained(&dfs, RetailerId(0), 7);
+        let (cat1, best1) = trained(&dfs, RetailerId(1), 8);
+        let counts = [(RetailerId(0), cat0.len()), (RetailerId(1), cat1.len())];
+        let map = BTreeMap::from([(RetailerId(0), best0), (RetailerId(1), best1)]);
+        let run = |counts: &[(RetailerId, usize)]| {
+            let splits = make_splits(counts, 20);
+            let job = InferenceJob::new(
+                &dfs,
+                CellId(0),
+                splits.clone(),
+                map.clone(),
+                CostModel::default(),
+            );
+            run_map_job(&job, splits.len(), &cfg(0.0, 1));
+            assert!(job.cache.lock().is_empty());
+            job.take_outputs()
+        };
+        let both = run(&counts);
+        let apart: Vec<MaterializedRec> = counts.iter().flat_map(|c| run(&[*c])).collect();
+        assert_eq!(both.len(), cat0.len() + cat1.len());
+        assert_eq!(both.len(), apart.len());
+        for (a, b) in both.iter().zip(apart.iter()) {
+            assert_eq!((a.retailer, a.item), (b.retailer, b.item));
+            assert_eq!(a.recs, b.recs);
+        }
+    }
+
+    #[test]
+    fn rep_matrices_are_built_once_per_retailer() {
+        let dfs = Dfs::new();
+        let (catalog, best) = trained_retailer(&dfs, 5);
+        let map = BTreeMap::from([(RetailerId(0), best)]);
+        let run = |items_per_split: usize| {
+            let splits = make_splits(&[(RetailerId(0), catalog.len())], items_per_split);
+            let mut job = InferenceJob::new(
+                &dfs,
+                CellId(0),
+                splits.clone(),
+                map.clone(),
+                CostModel::default(),
+            );
+            job.obs = Obs::recording(sigmund_obs::Level::Debug);
+            run_map_job(&job, splits.len(), &cfg(0.0, 7));
+            let builds = job.obs.metrics().unwrap().counter("infer.rep_builds");
+            (splits.len(), builds, job.take_outputs())
+        };
+        let (n_splits, builds, stitched) = run(catalog.len().div_ceil(5));
+        assert_eq!(n_splits, 5);
+        assert_eq!(builds, 1, "one build per retailer, not per split");
+        let (n_splits, builds, whole) = run(catalog.len());
+        assert_eq!((n_splits, builds), (1, 1));
+        assert_eq!(stitched.len(), whole.len());
+        for (a, b) in stitched.iter().zip(whole.iter()) {
+            assert_eq!(a.item, b.item);
+            assert_eq!(a.recs, b.recs, "split count changed recs for {:?}", a.item);
+        }
     }
 }
