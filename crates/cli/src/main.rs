@@ -152,7 +152,8 @@ fn recover_cli(
     if let Some(ops) = rec.ops_state.as_deref() {
         if let Ok(sections) = journal::unpack_ops(ops) {
             if let Some(blob) = sections.first() {
-                if let Ok(m) = QualityMonitor::from_bytes(MonitorConfig::default(), bus.clone(), blob)
+                if let Ok(m) =
+                    QualityMonitor::from_bytes(MonitorConfig::default(), bus.clone(), blob)
                 {
                     *monitor = m;
                 }
@@ -229,8 +230,7 @@ fn simulate(args: &Args) -> Result<(), String> {
         return Err("--crash-at requires --crash-day".into());
     }
     // Crash injection and resume both need the durable day journal.
-    let journal_on: bool =
-        args.get("journal", false)? || resume || crash_day.is_some();
+    let journal_on: bool = args.get("journal", false)? || resume || crash_day.is_some();
     if let Some(d) = crash_day {
         chaos.plan.crash_at = Some((d, crash_at));
     }
@@ -387,7 +387,10 @@ fn simulate(args: &Args) -> Result<(), String> {
         // state (monitor + store freshness) so a later restart can rebuild
         // it bit-for-bit.
         if journal_on {
-            match svc.seal_day(journal::pack_ops(&[&monitor.to_bytes(), &store.meta_bytes()])) {
+            match svc.seal_day(journal::pack_ops(&[
+                &monitor.to_bytes(),
+                &store.meta_bytes(),
+            ])) {
                 Ok(()) => {}
                 Err(SigmundError::Crashed(m)) if resume => {
                     println!("\nCRASH: {m}");
@@ -477,8 +480,7 @@ fn watch(args: &Args) -> Result<(), String> {
     if args.get_str("crash-at").is_some() && crash_day.is_none() {
         return Err("--crash-at requires --crash-day".into());
     }
-    let journal_on: bool =
-        args.get("journal", false)? || resume || crash_day.is_some();
+    let journal_on: bool = args.get("journal", false)? || resume || crash_day.is_some();
     if let Some(d) = crash_day {
         chaos.plan.crash_at = Some((d, crash_at));
     }
@@ -572,7 +574,10 @@ fn watch(args: &Args) -> Result<(), String> {
         last_load_ts = now;
 
         if journal_on {
-            match svc.seal_day(journal::pack_ops(&[&monitor.to_bytes(), &store.meta_bytes()])) {
+            match svc.seal_day(journal::pack_ops(&[
+                &monitor.to_bytes(),
+                &store.meta_bytes(),
+            ])) {
                 Ok(()) => {}
                 Err(SigmundError::Crashed(m)) if resume => {
                     println!("CRASH: {m}");

@@ -632,7 +632,7 @@ mod tests {
         });
         dfs.write(C0, "/a", Bytes::from_static(b"one")).unwrap(); // op 0
         dfs.write(C0, "/b", Bytes::from_static(b"two")).unwrap(); // op 1
-        // Op 2 is the kill-point: the write stores nothing …
+                                                                  // Op 2 is the kill-point: the write stores nothing …
         let err = dfs.write(C0, "/c", Bytes::from_static(b"x")).unwrap_err();
         assert!(matches!(err, SigmundError::Crashed(_)));
         assert!(!dfs.exists("/c"));
@@ -652,7 +652,10 @@ mod tests {
         // Restart: durable state survives, the crash does not.
         let reborn = dfs.restart(FaultPlan::default());
         assert!(!reborn.crashed());
-        assert!(reborn.injector().is_none(), "noop plan attaches no injector");
+        assert!(
+            reborn.injector().is_none(),
+            "noop plan attaches no injector"
+        );
         assert_eq!(reborn.read(C0, "/a").unwrap(), Bytes::from_static(b"one"));
         assert_eq!(reborn.read(C0, "/b").unwrap(), Bytes::from_static(b"two"));
         assert_eq!(reborn.stats(), TransferStats::default());

@@ -384,8 +384,14 @@ mod tests {
 
     #[test]
     fn paths_are_distinct_per_retailer_and_config() {
-        assert_ne!(model_path(RetailerId(1), 0, 0), model_path(RetailerId(1), 1, 0));
-        assert_ne!(model_path(RetailerId(1), 0, 0), model_path(RetailerId(1), 0, 1));
+        assert_ne!(
+            model_path(RetailerId(1), 0, 0),
+            model_path(RetailerId(1), 1, 0)
+        );
+        assert_ne!(
+            model_path(RetailerId(1), 0, 0),
+            model_path(RetailerId(1), 0, 1)
+        );
         assert_ne!(train_path(RetailerId(1)), train_path(RetailerId(2)));
         assert_ne!(
             checkpoint_dir(RetailerId(1), 0),

@@ -383,7 +383,10 @@ mod tests {
             retailers: vec![(RetailerId(0), 40), (RetailerId(2), 55)],
             new_since_last_run: vec![RetailerId(2)],
             last_accepted_map: vec![0.2, f64::NAN, 0.31],
-            last_outputs: vec![ConfigRecord::cold(RetailerId(0), 0, HyperParams::default()), rec],
+            last_outputs: vec![
+                ConfigRecord::cold(RetailerId(0), 0, HyperParams::default()),
+                rec,
+            ],
             ops: vec![9, 8, 7],
         }
     }
@@ -403,8 +406,14 @@ mod tests {
         assert_eq!(back.ops, m.ops);
         // NaN slots survive bit-exactly (PartialEq would reject NaN == NaN).
         assert_eq!(
-            back.last_accepted_map.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            m.last_accepted_map.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            back.last_accepted_map
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>(),
+            m.last_accepted_map
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>(),
         );
     }
 
@@ -490,7 +499,10 @@ mod tests {
     fn ops_sections_round_trip() {
         let packed = pack_ops(&[b"monitor", b"", b"serving meta"]);
         let back = unpack_ops(&packed).unwrap();
-        assert_eq!(back, vec![b"monitor".to_vec(), Vec::new(), b"serving meta".to_vec()]);
+        assert_eq!(
+            back,
+            vec![b"monitor".to_vec(), Vec::new(), b"serving meta".to_vec()]
+        );
         assert!(unpack_ops(&packed[..packed.len() - 1]).is_err());
         assert!(unpack_ops(&[]).unwrap().is_empty());
     }

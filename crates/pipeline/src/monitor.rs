@@ -865,7 +865,10 @@ mod tests {
         // 0 recovers from degradation (transition alert), retailer 1 stays
         // silently low-quality (no re-fire).
         let next = report(2, &[(0, 0.31, 10, 10), (1, 0.002, 10, 10)]);
-        assert_eq!(back.record_day(&fleet, &next), mon.record_day(&fleet, &next));
+        assert_eq!(
+            back.record_day(&fleet, &next),
+            mon.record_day(&fleet, &next)
+        );
         assert_eq!(back.to_bytes(), mon.to_bytes());
     }
 

@@ -919,9 +919,12 @@ fn recover_stack(
     let mut store = ServingStore::new();
     if let Some(ops) = rec.ops_state.as_deref() {
         let sections = journal::unpack_ops(ops).unwrap();
-        monitor =
-            QualityMonitor::from_bytes(MonitorConfig::default(), HealthBus::disabled(), &sections[0])
-                .unwrap();
+        monitor = QualityMonitor::from_bytes(
+            MonitorConfig::default(),
+            HealthBus::disabled(),
+            &sections[0],
+        )
+        .unwrap();
         let mut tables = BTreeMap::new();
         for &(r, _) in rec.service.retailers() {
             tables.insert(r, Arc::new(load_recs(&rec.service.dfs, cell, r).unwrap()));
@@ -984,7 +987,10 @@ fn drive_to_completion(
                         report.degraded.iter().map(|r| r.0).collect(),
                         report.rejected.iter().map(|r| r.0).collect(),
                     ));
-                    svc.seal_day(journal::pack_ops(&[&monitor.to_bytes(), &store.meta_bytes()]))
+                    svc.seal_day(journal::pack_ops(&[
+                        &monitor.to_bytes(),
+                        &store.meta_bytes(),
+                    ]))
                 })();
                 match post {
                     Ok(()) => {
@@ -1025,8 +1031,10 @@ fn drive_to_completion(
     // still-armed injector (for runs whose kill point was never reached).
     svc.dfs = svc.dfs.restart(FaultPlan::default());
     for p in svc.dfs.list("/") {
-        out.dfs
-            .push((p.clone(), svc.dfs.peek(&p).map(|b| b.to_vec()).unwrap_or_default()));
+        out.dfs.push((
+            p.clone(),
+            svc.dfs.peek(&p).map(|b| b.to_vec()).unwrap_or_default(),
+        ));
     }
     for &(r, _) in svc.retailers() {
         let t = load_recs(&svc.dfs, cell, r).unwrap();
@@ -1035,7 +1043,10 @@ fn drive_to_completion(
             t.iter()
                 .map(|ir| {
                     (
-                        ir.view_based.iter().map(|(i, s)| (i.0, s.to_bits())).collect(),
+                        ir.view_based
+                            .iter()
+                            .map(|(i, s)| (i.0, s.to_bits()))
+                            .collect(),
                         ir.purchase_based
                             .iter()
                             .map(|(i, s)| (i.0, s.to_bits()))
@@ -1059,8 +1070,14 @@ fn assert_artifacts_eq(run: &RecoveryArtifacts, baseline: &RecoveryArtifacts, ct
         run.final_now, baseline.final_now,
         "{ctx}: virtual clock diverged"
     );
-    assert_eq!(run.recs, baseline.recs, "{ctx}: recommendation tables diverged");
-    assert_eq!(run.monitor, baseline.monitor, "{ctx}: monitor snapshot diverged");
+    assert_eq!(
+        run.recs, baseline.recs,
+        "{ctx}: recommendation tables diverged"
+    );
+    assert_eq!(
+        run.monitor, baseline.monitor,
+        "{ctx}: monitor snapshot diverged"
+    );
     assert_eq!(
         run.store_meta, baseline.store_meta,
         "{ctx}: serving freshness metadata diverged"
