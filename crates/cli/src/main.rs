@@ -7,7 +7,7 @@
 //! sigmund simulate  --retailers 6 --days 3 --cells 2 --machines 6 \
 //!                   --preempt 0.25 --seed 7       # run the daily service
 //! sigmund watch     --retailers 6 --days 8 --headless    # live fleet dashboard
-//! sigmund train     --items 300 --users 400 --grid small --threads 4
+//! sigmund train     --items 300 --users 400 --grid small
 //! sigmund evolve    --items 150 --users 200 --days 3   # world churn demo
 //! sigmund help
 //! ```
@@ -74,7 +74,11 @@ fn print_help() {
          \x20 simulate   run the daily pipeline over a synthetic fleet\n\
          \x20            --retailers N (6) --days D (2) --cells C (2) --machines M (6)\n\
          \x20            --preempt RATE/task-hr (0.25) --min-items (30) --max-items (400)\n\
-         \x20            --threads T (4) --infer-threads I (1) --seed S (7)\n\
+         \x20            --threads T (1) --infer-threads I (1) --seed S (7)\n\
+         \x20                       T = SGD threads per model: 1 is exact and\n\
+         \x20                       reproducible, and independent models then\n\
+         \x20                       train side by side on all cores; T > 1 opts\n\
+         \x20                       into racy Hogwild and divides those cores\n\
          \x20            --fault-profile none|mild|storm|bitflip (none)  seeded chaos\n\
          \x20            --chaos-seed S (= --seed)  fault-injection seed\n\
          \x20            --trace    write results/trace.json (Chrome trace-event\n\
@@ -101,7 +105,7 @@ fn print_help() {
          \x20            --chaos-seed S (= --seed)\n\
          \x20 train      grid-search one retailer and print recommendations\n\
          \x20            --items N (300) --users U (400) --grid small|paper (small)\n\
-         \x20            --threads T (4) --seed S (42)\n\
+         \x20            --threads T (1; > 1 = Hogwild) --seed S (42)\n\
          \x20 evolve     show day-over-day catalog churn + incremental refresh\n\
          \x20            --items N (150) --users U (200) --days D (3) --seed S (99)\n\
          \x20 help       this text"
@@ -214,7 +218,7 @@ fn simulate(args: &Args) -> Result<(), String> {
     let preempt: f64 = args.get("preempt", 0.25)?;
     let min_items: usize = args.get("min-items", 30)?;
     let max_items: usize = args.get("max-items", 400)?;
-    let threads: usize = args.get("threads", 4)?;
+    let threads: usize = args.get("threads", 1)?;
     let infer_threads: usize = args.get("infer-threads", 1)?;
     let seed: u64 = args.get("seed", 7)?;
     let chaos_seed: u64 = args.get("chaos-seed", seed)?;
@@ -463,7 +467,7 @@ fn watch(args: &Args) -> Result<(), String> {
     let preempt: f64 = args.get("preempt", 0.25)?;
     let min_items: usize = args.get("min-items", 30)?;
     let max_items: usize = args.get("max-items", 400)?;
-    let threads: usize = args.get("threads", 4)?;
+    let threads: usize = args.get("threads", 1)?;
     let infer_threads: usize = args.get("infer-threads", 1)?;
     let seed: u64 = args.get("seed", 7)?;
     let chaos_seed: u64 = args.get("chaos-seed", seed)?;
@@ -710,7 +714,7 @@ fn train_cmd(args: &Args) -> Result<(), String> {
     args.ensure_known(&["items", "users", "grid", "threads", "seed"])?;
     let items: usize = args.get("items", 300)?;
     let users: usize = args.get("users", 400)?;
-    let threads: usize = args.get("threads", 4)?;
+    let threads: usize = args.get("threads", 1)?;
     let seed: u64 = args.get("seed", 42)?;
     let grid = match args.get_str("grid").unwrap_or("small") {
         "small" => GridSpec::small(),

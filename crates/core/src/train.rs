@@ -25,7 +25,7 @@ use crate::negative::NegativeSampler;
 use crate::storage::{RowStore, Table};
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use sigmund_obs::{Level, Obs, Track};
+use sigmund_obs::{Level, ObsLog};
 use sigmund_types::{Catalog, FeatureSwitches, ItemId};
 
 /// Knobs for a training run.
@@ -182,14 +182,14 @@ fn exact_rng(opts: &TrainOptions, epoch: u32) -> StdRng {
     StdRng::seed_from_u64(opts.seed.wrapping_add(epoch as u64))
 }
 
-/// Emits one epoch's obs record: a `train`-category span on `track` plus
-/// loss / gradient-magnitude / Adagrad-scale histograms. The Adagrad
-/// accumulator is sampled from the item-factor table (at most 64 rows,
-/// evenly strided) — enough to see the "damped frequent, boosted rare"
+/// Emits one epoch's obs record into the running attempt's log (times on
+/// the attempt's clock; the engine supplies the lane): a `train`-category
+/// span plus loss / gradient-magnitude / Adagrad-scale histograms. The
+/// Adagrad accumulator is sampled from the item-factor table (at most 64
+/// rows, evenly strided) — enough to see the "damped frequent, boosted rare"
 /// spread without dumping every row.
 pub fn observe_epoch(
-    obs: &Obs,
-    track: Track,
+    obs: &mut ObsLog,
     start_s: f64,
     end_s: f64,
     epoch: u32,
@@ -203,7 +203,6 @@ pub fn observe_epoch(
         Level::Debug,
         "train",
         &format!("epoch {epoch}"),
-        track,
         start_s,
         end_s,
         &[
@@ -678,7 +677,9 @@ mod tests {
         };
         let stats = train_epoch(&m, &c, &ds, &s, &opts, 0);
         let obs = Obs::recording(Level::Debug);
-        observe_epoch(&obs, Track::machine(0, 0), 10.0, 12.0, 0, &stats, &m);
+        let mut log = obs.log();
+        observe_epoch(&mut log, 10.0, 12.0, 0, &stats, &m);
+        obs.absorb(log, 0.0, Track::machine(0, 0));
         let trace = obs.trace_json();
         assert!(trace.contains("\"cat\":\"train\""), "{trace}");
         assert!(trace.contains("epoch 0"), "{trace}");
@@ -688,8 +689,11 @@ mod tests {
         assert!(metrics.contains("train.adagrad_scale"), "{metrics}");
         // Below the Debug threshold nothing is recorded.
         let quiet = Obs::recording(Level::Info);
-        observe_epoch(&quiet, Track::machine(0, 0), 10.0, 12.0, 0, &stats, &m);
+        let mut log = quiet.log();
+        observe_epoch(&mut log, 10.0, 12.0, 0, &stats, &m);
+        quiet.absorb(log, 0.0, Track::machine(0, 0));
         assert_eq!(quiet.event_count(), 0);
+        assert_eq!(quiet.metrics_jsonl(), "");
     }
 
     // --- storage invariance: one step, two storages, the same bytes -------

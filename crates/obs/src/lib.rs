@@ -46,6 +46,7 @@
 
 mod bytes;
 mod dashboard;
+mod log;
 mod metrics;
 mod stream;
 mod summary;
@@ -53,6 +54,7 @@ mod trace;
 
 pub use bytes::{ByteCharge, ByteLedger};
 pub use dashboard::Dashboard;
+pub use log::ObsLog;
 pub use metrics::{Gauge, Histogram, MetricsRegistry};
 pub use stream::{AlertKind, HealthBus, HealthCursor, HealthEvent};
 pub use summary::{summarize_integrity, summarize_metrics, summarize_trace};

@@ -227,6 +227,13 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// Copies borrowed event args into the owned form events store.
+pub(crate) fn own_args(args: &[(&str, ArgValue)]) -> Vec<(String, ArgValue)> {
+    args.iter()
+        .map(|(k, v)| ((*k).to_owned(), v.clone()))
+        .collect()
+}
+
 /// Quantizes virtual seconds to whole microseconds (Chrome's `ts` unit).
 fn to_us(seconds: f64) -> u64 {
     if seconds.is_finite() && seconds > 0.0 {
@@ -273,6 +280,11 @@ impl Obs {
         self.inner.as_ref().is_some_and(|r| level <= r.min_level)
     }
 
+    /// The recording threshold, `None` when disabled.
+    pub(crate) fn min_level(&self) -> Option<Level> {
+        self.inner.as_ref().map(|r| r.min_level)
+    }
+
     fn push(&self, level: Level, ev: TraceEvent) {
         if let Some(r) = &self.inner {
             if level <= r.min_level {
@@ -295,24 +307,43 @@ impl Obs {
         end_s: f64,
         args: &[(&str, ArgValue)],
     ) {
-        if !self.level_enabled(level) {
-            return;
+        if self.level_enabled(level) {
+            self.push_span(
+                level,
+                cat.to_owned(),
+                name.to_owned(),
+                track,
+                start_s,
+                end_s,
+                own_args(args),
+            );
         }
+    }
+
+    /// [`Self::span`] on owned strings (what [`Self::absorb`] replays).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn push_span(
+        &self,
+        level: Level,
+        cat: String,
+        name: String,
+        track: Track,
+        start_s: f64,
+        end_s: f64,
+        args: Vec<(String, ArgValue)>,
+    ) {
         let ts = to_us(start_s);
         let dur = to_us(end_s).saturating_sub(ts);
         self.push(
             level,
             TraceEvent {
-                name: name.to_owned(),
-                cat: cat.to_owned(),
+                name,
+                cat,
                 ph: 'X',
                 ts_us: ts,
                 dur_us: Some(dur),
                 track,
-                args: args
-                    .iter()
-                    .map(|(k, v)| ((*k).to_owned(), v.clone()))
-                    .collect(),
+                args,
             },
         );
     }
@@ -328,22 +359,39 @@ impl Obs {
         ts_s: f64,
         args: &[(&str, ArgValue)],
     ) {
-        if !self.level_enabled(level) {
-            return;
+        if self.level_enabled(level) {
+            self.push_instant(
+                level,
+                cat.to_owned(),
+                name.to_owned(),
+                track,
+                ts_s,
+                own_args(args),
+            );
         }
-        let mut all = Vec::with_capacity(args.len() + 1);
-        all.push(("level".to_owned(), ArgValue::from(level.as_str())));
-        all.extend(args.iter().map(|(k, v)| ((*k).to_owned(), v.clone())));
+    }
+
+    /// [`Self::instant`] on owned strings.
+    pub(crate) fn push_instant(
+        &self,
+        level: Level,
+        cat: String,
+        name: String,
+        track: Track,
+        ts_s: f64,
+        mut args: Vec<(String, ArgValue)>,
+    ) {
+        args.insert(0, ("level".to_owned(), ArgValue::from(level.as_str())));
         self.push(
             level,
             TraceEvent {
-                name: name.to_owned(),
-                cat: cat.to_owned(),
+                name,
+                cat,
                 ph: 'i',
                 ts_us: to_us(ts_s),
                 dur_us: None,
                 track,
-                args: all,
+                args,
             },
         );
     }

@@ -51,7 +51,11 @@ pub struct PipelineConfig {
     pub keep_top: usize,
     /// Epochs for warm-started incremental runs.
     pub incremental_epochs: u32,
-    /// Hogwild threads per training task.
+    /// SGD threads per training task. 1 (the default) is exact,
+    /// reproducible SGD, and the day's real cores go to running that many
+    /// independent models at once (`SigmundService::train_workers`).
+    /// More is the explicit Hogwild opt-in — racy by design, slower than 1
+    /// on small retailers — and divides the worker budget.
     pub threads: usize,
     /// Scoped worker threads per inference map task. Unlike Hogwild, this
     /// never changes outputs — inference is read-only (DESIGN.md §8).
@@ -112,7 +116,7 @@ impl Default for PipelineConfig {
             grid: GridSpec::small(),
             keep_top: 3,
             incremental_epochs: 3,
-            threads: 4,
+            threads: 1,
             infer_threads: 1,
             checkpoint_interval: 300.0,
             cost: CostModel::default(),
@@ -483,7 +487,6 @@ impl SigmundService {
             let mut job = TrainJob::new(&self.dfs, cell.cell, recs, self.cfg.cost);
             job.threads = self.cfg.threads;
             job.checkpoint_interval = self.cfg.checkpoint_interval;
-            job.obs = obs.clone();
             let stats = run_map_job_obs(
                 &job,
                 job.n_splits(),
@@ -500,6 +503,7 @@ impl SigmundService {
                 &format!("train cell {ci}"),
                 &obs,
                 day_start,
+                self.train_workers(),
             );
             outputs.extend(job.take_outputs());
             cost.merge(&stats.cost);
@@ -617,7 +621,6 @@ impl SigmundService {
             let mut job = InferenceJob::new(&self.dfs, cell.cell, splits, bin_best, self.cfg.cost);
             job.k = self.cfg.rec_k;
             job.threads = self.cfg.infer_threads;
-            job.obs = obs.clone();
             job.persist_splits = self.cfg.stream_recs;
             let stats = run_map_job_obs(
                 &job,
@@ -638,6 +641,9 @@ impl SigmundService {
                 &format!("infer cell {ci}"),
                 &obs,
                 day_start + train_makespan,
+                // One engine worker: the job fans out inside each split
+                // over `infer_threads`, and both at once would exceed it.
+                1,
             );
             infer_failed.extend(stats.failed.iter().map(|t| split_retailers[t.index()]));
             all_recs.extend(job.take_outputs());
@@ -1054,6 +1060,24 @@ impl SigmundService {
         }
         // xtask: allow(error-swallow) — marker loss only costs one idempotent re-publish on resume; crashes are caught at the phase boundary
         let _ = journal::write_publish_marker(&self.dfs, self.cfg.cells[0].cell, self.day, r);
+    }
+
+    /// How many training tasks (independent single-model SGD runs) compute
+    /// at once: the machine's cores divided among `threads`-wide tasks. The
+    /// engine further clamps it to the cell's machines and the split count,
+    /// and to 1 under a storm schedule. Derived, not configured — outputs,
+    /// `JobStats`, traces and virtual makespans do not depend on it.
+    ///
+    /// A `Dfs` carrying a fault injector gets 1: kill-points and rate
+    /// faults are keyed by per-day DFS *op index*, so the order in which
+    /// concurrent attempts reach the filesystem would be observable
+    /// (lifting this needs faults keyed by logical identity — ROADMAP 6a).
+    fn train_workers(&self) -> usize {
+        if self.dfs.injector().is_some() {
+            return 1;
+        }
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        (cores / self.cfg.threads.max(1)).max(1)
     }
 
     /// Unwinds the day if the kill-point has fired: the simulated process
@@ -1571,6 +1595,55 @@ mod tests {
         assert_eq!(mat_report.best.len(), st_report.best.len());
         assert_eq!(mat_report.models_trained, st_report.models_trained);
         assert_eq!(mat_report.train_makespan, st_report.train_makespan);
+    }
+
+    #[test]
+    fn same_seed_days_on_the_derived_worker_count_are_identical() {
+        // Whatever `train_workers` derives on this machine, two same-seed
+        // services publish the same bytes and report the same days — cold
+        // sweep, then a warm-started incremental day, under pre-emption.
+        let run = || {
+            let mut svc = service();
+            svc.cfg.grid.learning_rates = vec![0.05, 0.1, 0.15, 0.2];
+            svc.cfg.preemption = PreemptionModel {
+                rate_per_hour: 40_000.0,
+            };
+            svc.cfg.checkpoint_interval = 0.0;
+            svc.cfg.obs = Obs::recording(Level::Debug);
+            for r in 0..4 {
+                let d = small_retailer(r, 500 + r as u64);
+                svc.onboard(&d.catalog, &d.events).unwrap();
+            }
+            let days = [svc.run_day().unwrap(), svc.run_day().unwrap()];
+            assert_eq!(days[0].models_trained, 16);
+            assert!(days[0].preemptions > 0, "hazard should bite");
+            let files: Vec<(String, Vec<u8>)> = svc
+                .dfs
+                .list("/")
+                .into_iter()
+                .map(|p| {
+                    let bytes = svc.dfs.peek(&p).unwrap().to_vec();
+                    (p, bytes)
+                })
+                .collect();
+            (files, format!("{days:?}"), svc.cfg.obs.trace_json())
+        };
+        assert_eq!(run(), run());
+
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let mut svc = service();
+        assert_eq!(svc.train_workers(), cores);
+        svc.cfg.threads = 2;
+        assert_eq!(
+            svc.train_workers(),
+            (cores / 2).max(1),
+            "Hogwild divides it"
+        );
+        let chaotic = SigmundService::new(PipelineConfig {
+            chaos: ChaosConfig::mild(1),
+            ..Default::default()
+        });
+        assert_eq!(chaotic.train_workers(), 1, "op-indexed faults need one");
     }
 
     #[test]

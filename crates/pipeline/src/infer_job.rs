@@ -20,6 +20,13 @@
 //!
 //! Inference splits are idempotent and cheap relative to training, so they
 //! are simply re-executed on pre-emption (no checkpointing).
+//!
+//! That in-split fan-out is this job's use of real cores, so the pipeline
+//! gives it one engine worker (`run_map_job_obs(.., 1)`): engine workers on
+//! top would exceed the thread budget `threads` was sized for, and the
+//! job's per-retailer cache and in-memory output list assume one attempt at
+//! a time. Like every task it records obs through its [`AttemptCtx`] and
+//! holds no `Obs` of its own.
 
 use crate::cost_model::CostModel;
 use crate::data;
@@ -27,7 +34,7 @@ use parking_lot::Mutex;
 use sigmund_core::prelude::*;
 use sigmund_dfs::Dfs;
 use sigmund_mapreduce::{AttemptCtx, MapStatus, MapTask};
-use sigmund_obs::Obs;
+use sigmund_obs::ObsLog;
 use sigmund_types::{Catalog, CellId, ConfigRecord, ItemId, RetailerId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -109,8 +116,6 @@ pub struct InferenceJob<'a> {
     /// Scoped worker threads per map task (1 = sequential). Output is
     /// byte-identical regardless — inference is read-only.
     pub threads: usize,
-    /// Observability handle (virtual-time gauges/counters).
-    pub obs: Obs,
     /// Streaming sink: when set, each completed split writes its recs as a
     /// binary part blob ([`data::recs_part_path`]) on the job's cell instead
     /// of accumulating them in [`Self::take_outputs`]. Bounds the job's
@@ -156,7 +161,6 @@ impl<'a> InferenceJob<'a> {
             cost,
             k: 10,
             threads: 1,
-            obs: Obs::disabled(),
             persist_splits: false,
             selector: CandidateSelector::default(),
             items,
@@ -184,6 +188,7 @@ impl<'a> InferenceJob<'a> {
     fn state_for(
         &self,
         r: RetailerId,
+        obs: &mut ObsLog,
     ) -> Result<Arc<RetailerInferState>, sigmund_types::SigmundError> {
         if let Some(s) = self.cache.lock().get(&r).and_then(|e| e.state.as_ref()) {
             return Ok(Arc::clone(s));
@@ -201,7 +206,7 @@ impl<'a> InferenceJob<'a> {
         let repurchase = RepurchaseStats::estimate(&catalog, &events, 0.3);
         let item_reps = Arc::new(model.materialize_item_reps(&catalog));
         let ctx_reps = Arc::new(model.materialize_context_reps(&catalog));
-        self.obs.counter("infer.rep_builds", 1);
+        obs.counter("infer.rep_builds", 1);
         let state = Arc::new(RetailerInferState {
             catalog,
             model,
@@ -237,7 +242,7 @@ impl<'a> InferenceJob<'a> {
 impl MapTask for InferenceJob<'_> {
     fn run(&self, split: usize, ctx: &mut AttemptCtx) -> MapStatus {
         let sp = self.splits[split];
-        let state = match self.state_for(sp.retailer) {
+        let state = match self.state_for(sp.retailer, ctx.obs()) {
             Ok(s) => s,
             // Transient read faults and torn-read corruption may clear on
             // re-execution; the retry cap bounds genuinely corrupt data, and
@@ -270,7 +275,8 @@ impl MapTask for InferenceJob<'_> {
             Arc::clone(&state.ctx_reps),
         )
         .with_selector(self.selector.clone());
-        self.obs.gauge("infer.rep_build_s", ctx.now(), rep_build_s);
+        let now = ctx.used();
+        ctx.obs().gauge("infer.rep_build_s", now, rep_build_s);
         // Parallel phase: pure per-item compute over the split's range.
         // Fan-out over scoped threads keeps results in item order, so the
         // output is byte-identical for any `threads` value.
@@ -327,15 +333,12 @@ impl MapTask for InferenceJob<'_> {
                 return MapStatus::Preempted;
             }
         }
-        self.obs
-            .counter("infer.items_materialized", table.len() as u64);
-        self.obs.counter("infer.candidates_scored", split_scored);
-        if ctx.used() > 0.0 {
-            self.obs.gauge(
-                "infer.candidates_per_cpu_s",
-                ctx.now(),
-                split_scored as f64 / ctx.used(),
-            );
+        let now = ctx.used();
+        let obs = ctx.obs();
+        obs.counter("infer.items_materialized", table.len() as u64);
+        obs.counter("infer.candidates_scored", split_scored);
+        if now > 0.0 {
+            obs.gauge("infer.candidates_per_cpu_s", now, split_scored as f64 / now);
         }
         if !self.persist_splits {
             self.outputs
@@ -388,7 +391,8 @@ mod tests {
     use crate::train_job::TrainJob;
     use sigmund_cluster::{CellSpec, PreemptionModel, Priority};
     use sigmund_datagen::RetailerSpec;
-    use sigmund_mapreduce::{run_map_job, JobConfig};
+    use sigmund_mapreduce::{run_map_job, run_map_job_obs, JobConfig};
+    use sigmund_obs::{Level, Obs};
 
     fn cfg(rate: f64, seed: u64) -> JobConfig {
         JobConfig {
@@ -500,12 +504,13 @@ mod tests {
         let mean_split = clean.cost.total_cpu_s() / splits.len() as f64;
         assert!(mean_split > 0.0);
         let rate_per_hour = 3600.0 / (mean_split / 2.0);
-        let mut job = InferenceJob::new(&dfs, CellId(0), splits.clone(), map, CostModel::default());
-        job.obs = Obs::recording(sigmund_obs::Level::Debug);
-        let stats = run_map_job(&job, splits.len(), &cfg(rate_per_hour, 9));
+        let job = InferenceJob::new(&dfs, CellId(0), splits.clone(), map, CostModel::default());
+        let obs = Obs::recording(Level::Debug);
+        let c = cfg(rate_per_hour, 9);
+        let stats = run_map_job_obs(&job, splits.len(), &c, "infer", &obs, 0.0, 1);
         // Only `Done` counts a split off, so every retry found the state
         // the first attempt built, and the last `Done` dropped it.
-        assert_eq!(job.obs.metrics().unwrap().counter("infer.rep_builds"), 1);
+        assert_eq!(obs.metrics().unwrap().counter("infer.rep_builds"), 1);
         assert!(job.cache.lock().is_empty());
         let outputs = job.take_outputs();
         let mut seen: Vec<u32> = outputs.iter().map(|m| m.item.0).collect();
@@ -693,16 +698,16 @@ mod tests {
         let map = BTreeMap::from([(RetailerId(0), best)]);
         let run = |items_per_split: usize| {
             let splits = make_splits(&[(RetailerId(0), catalog.len())], items_per_split);
-            let mut job = InferenceJob::new(
+            let job = InferenceJob::new(
                 &dfs,
                 CellId(0),
                 splits.clone(),
                 map.clone(),
                 CostModel::default(),
             );
-            job.obs = Obs::recording(sigmund_obs::Level::Debug);
-            run_map_job(&job, splits.len(), &cfg(0.0, 7));
-            let builds = job.obs.metrics().unwrap().counter("infer.rep_builds");
+            let obs = Obs::recording(Level::Debug);
+            run_map_job_obs(&job, splits.len(), &cfg(0.0, 7), "infer", &obs, 0.0, 1);
+            let builds = obs.metrics().unwrap().counter("infer.rep_builds");
             (splits.len(), builds, job.take_outputs())
         };
         let (n_splits, builds, stitched) = run(catalog.len().div_ceil(5));

@@ -19,6 +19,23 @@
 //! samplers, strength constraints, missing brand/price),
 //! `storage_invariance_adaptive_sampler_reads_live_parameters`,
 //! `epoch_by_epoch_equals_train` and `checkpoint_resume_equals_uninterrupted`.
+//!
+//! Nor is the number of cores a training *job* uses: map-task attempts of
+//! independent `(retailer, config)` models run at once on a worker pool
+//! whose every effect is committed in the sequential engine's order
+//! (DESIGN.md §17), so the service tests below hold on whatever worker
+//! count the machine derives. The proofs sit next to the code —
+//! `crates/mapreduce/src/engine.rs`:
+//! `stats_trace_metrics_and_commit_order_are_worker_count_invariant`,
+//! `workers_really_overlap_and_storms_serialize_them`,
+//! `recording_on_a_shared_obs_instead_of_ctx_breaks_the_trace`;
+//! `crates/pipeline/src/train_job.rs`:
+//! `training_job_is_worker_count_invariant`,
+//! `training_job_is_worker_count_invariant_under_preemption` (DFS bytes,
+//! output order, `JobStats`, `Dfs::stats()`, trace and metrics at 1 / 2 / 3
+//! / 8 workers) and `same_retailer_burst_loads_the_retailer_once`;
+//! `crates/pipeline/src/daily.rs`:
+//! `same_seed_days_on_the_derived_worker_count_are_identical`.
 
 use sigmund_cluster::{CellSpec, PreemptionModel};
 use sigmund_core::prelude::*;

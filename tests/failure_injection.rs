@@ -11,7 +11,7 @@ use sigmund_core::prelude::ModelSnapshot;
 use sigmund_core::selection::GridSpec;
 use sigmund_datagen::RetailerSpec;
 use sigmund_dfs::{CheckpointStore, Dfs};
-use sigmund_mapreduce::{run_map_job, JobConfig};
+use sigmund_mapreduce::{run_map_job, run_map_job_obs, JobConfig};
 use sigmund_pipeline::{
     data, full_sweep_for, CostModel, MonitorConfig, PipelineConfig, QualityAlert, QualityMonitor,
     SigmundService, TrainJob,
@@ -77,10 +77,9 @@ fn corrupt_checkpoint_falls_back_to_fresh_training() {
         Bytes::from_static(b"garbage-not-a-checkpoint"),
     )
     .unwrap();
-    let mut job = TrainJob::new(&dfs, CellId(0), records.clone(), CostModel::default());
+    let job = TrainJob::new(&dfs, CellId(0), records.clone(), CostModel::default());
     let obs = sigmund_obs::Obs::recording(sigmund_obs::Level::Debug);
-    job.obs = obs.clone();
-    let stats = run_map_job(&job, records.len(), &job_cfg(2));
+    let stats = run_map_job_obs(&job, records.len(), &job_cfg(2), "train", &obs, 0.0, 1);
     assert!(stats.failed.is_empty());
     let outputs = job.take_outputs();
     assert_eq!(
@@ -205,15 +204,19 @@ fn corrupt_published_model_skips_inference_for_that_retailer() {
 
 #[test]
 fn heavy_preemption_day_still_completes() {
-    // This retailer's splits cost ~0.03 virtual seconds each; aim the mean
-    // pre-emption budget right at that so kills actually land, and
-    // checkpoint every ~half-epoch so progress survives them.
+    // This retailer's splits cost ~0.1 virtual seconds each on the default
+    // single SGD thread; aim the mean pre-emption budget right at that so
+    // kills actually land, and checkpoint every ~half-epoch so progress
+    // survives them. (Both constants were tuned at the old 4-thread default
+    // — 2 000 000 /h and 0.004 s — and are scaled by the cost model's
+    // 4-thread speedup, which keeps every budget-to-epoch ratio.)
+    let speedup = CostModel::default().thread_speedup(4);
     let mut svc = SigmundService::new(PipelineConfig {
         grid: tiny_grid(),
         preemption: PreemptionModel {
-            rate_per_hour: 2_000_000.0,
+            rate_per_hour: 2_000_000.0 / speedup,
         },
-        checkpoint_interval: 0.004,
+        checkpoint_interval: 0.004 * speedup,
         items_per_split: 10,
         ..Default::default()
     });
