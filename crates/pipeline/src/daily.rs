@@ -1,26 +1,28 @@
 //! The daily Sigmund service cycle (Sections II-A, IV, V).
 //!
-//! One virtual "day" is: sweep → training MapReduces (one per cell) →
-//! model selection → inference MapReduces (one per cell) → batch-publish
-//! recommendations. New retailers get a full grid; existing retailers get
-//! the warm-started incremental sweep over their top-K configs; everything
-//! runs at pre-emptible priority with time-interval checkpointing.
+//! One virtual "day" is a fold over five phases (DESIGN.md §18): plan
+//! (model GC + sweep) → train (one MapReduce per cell) → select (model
+//! selection + admission gate) → infer (one MapReduce per cell) → publish.
+//! New retailers get a full grid; existing retailers get the warm-started
+//! incremental sweep over their top-K configs; everything runs at
+//! pre-emptible priority with time-interval checkpointing.
 //!
 //! Cells execute in (virtual) parallel: a phase's makespan is the max over
 //! its per-cell jobs, while cost is the sum.
 //!
-//! At fleet scale (DESIGN.md §12) the service runs with
-//! [`PipelineConfig::stream_recs`]: inference splits persist their output as
-//! DFS part blobs instead of accumulating in memory, and the publish phase
-//! stitches one retailer's table at a time — peak resident output is bounded
-//! by the largest single retailer, not the fleet. A [`ByteLedger`] makes the
-//! peak a deterministic, testable number (logical bytes, never RSS).
+//! Recommendation tables take one path (DESIGN.md §12): every inference
+//! split leaves its rows as an `SGRC` part blob, and the publish phase
+//! stitches, encodes and writes `/recs/r<r>` one retailer at a time — peak
+//! resident output is bounded by the largest single retailer, not the
+//! fleet. [`PipelineConfig::stream_recs`] only decides whether the report
+//! also keeps the stitched tables. A [`ByteLedger`] makes the peak a
+//! deterministic, testable number (logical bytes, never RSS).
 
 use crate::binpack::{partition_greedy, Weighted};
 use crate::chaos::ChaosConfig;
 use crate::cost_model::CostModel;
 use crate::data;
-use crate::infer_job::{make_splits, InferenceJob, MaterializedRec};
+use crate::infer_job::{make_splits, InferenceJob};
 use crate::integrity::{IntegrityConfig, RejectReason};
 use crate::journal::{self, DayManifest, Phase};
 use crate::sweep;
@@ -84,12 +86,14 @@ pub struct PipelineConfig {
     /// happen. The disabled default makes every publish a no-op, so runs
     /// without a bus stay byte-identical (DESIGN.md §11).
     pub bus: HealthBus,
-    /// Streaming publish mode (DESIGN.md §12): inference splits sink their
-    /// recommendations to DFS part blobs and the publish phase stitches one
-    /// retailer at a time, so resident output is bounded by the largest
-    /// retailer instead of the fleet. [`DayReport::recs`] stays empty in
-    /// this mode — read tables back with [`load_recs`]. The `false` default
-    /// keeps the materialize-everything path byte-identical.
+    /// Whether [`DayReport::recs`] is left empty. There is one publish path
+    /// either way (DESIGN.md §12, §18): inference splits sink their rows to
+    /// DFS part blobs and the publish phase stitches and writes one
+    /// retailer at a time. `true` drops each table once it is durable, so
+    /// resident output is bounded by the largest retailer instead of the
+    /// fleet — read tables back with [`load_recs`]. The `false` default
+    /// also keeps every published table (and its ledger charge) for the
+    /// report, which is what small-fleet callers read.
     pub stream_recs: bool,
     /// Logical-bytes accounting for materialized recommendation tables.
     /// The disabled default records nothing; [`ByteLedger::tracking`] makes
@@ -151,9 +155,9 @@ pub struct DayReport {
     pub preemptions: u64,
     /// Winning config per retailer.
     pub best: BTreeMap<RetailerId, ConfigRecord>,
-    /// Materialized recommendations per retailer, indexed by item id.
-    /// Empty under [`PipelineConfig::stream_recs`] — tables live only in
-    /// the DFS there; read them back with [`load_recs`].
+    /// The tables published today, per retailer, indexed by item id — the
+    /// same rows [`load_recs`] decodes from `/recs/r<r>`. Empty under
+    /// [`PipelineConfig::stream_recs`], where tables live only in the DFS.
     pub recs: BTreeMap<RetailerId, Vec<ItemRecs>>,
     /// Per-cell training job stats.
     pub train_stats: Vec<JobStats>,
@@ -203,6 +207,67 @@ pub struct SigmundService {
     /// recovery.
     resume_publish_done: BTreeSet<RetailerId>,
 }
+
+/// One day's in-flight state, threaded through the phase functions by
+/// [`SigmundService::run_day`]: each phase reads what earlier phases left
+/// and fills in its own fields; the close-out turns it into a [`DayReport`].
+#[derive(Default)]
+struct Day {
+    /// Per-day seed derived from the master seed.
+    seed: u64,
+    /// Virtual time the day's work starts at.
+    start: f64,
+    /// plan → train: today's config records, output paths stamped.
+    records: Vec<ConfigRecord>,
+    /// plan: retailers the sweep planned work for.
+    planned: BTreeSet<RetailerId>,
+    /// plan: models planned today.
+    models_trained: usize,
+    /// train: annotated records of the models that finished.
+    outputs: Vec<ConfigRecord>,
+    train_stats: Vec<JobStats>,
+    train_makespan: f64,
+    /// train + infer: metered cost and pre-emptions absorbed.
+    cost: CostMeter,
+    preemptions: u64,
+    /// select: winning config per retailer, gate rejections removed.
+    best: BTreeMap<RetailerId, ConfigRecord>,
+    rejected: Vec<RetailerId>,
+    infer_stats: Vec<JobStats>,
+    infer_makespan: f64,
+    /// infer: retailers with at least one abandoned split.
+    infer_failed: BTreeSet<RetailerId>,
+    /// publish: retailers left on their previous generation (sorted).
+    degraded: Vec<RetailerId>,
+    /// publish: the tables the report keeps (`!stream_recs`).
+    recs: BTreeMap<RetailerId, Vec<ItemRecs>>,
+    recs_published: u64,
+}
+
+impl Day {
+    /// Virtual time the training phase ends and selection/inference start.
+    fn trained_at(&self) -> f64 {
+        self.start + self.train_makespan
+    }
+
+    /// Virtual time the day's offline work ends.
+    fn end(&self) -> f64 {
+        self.start + self.train_makespan + self.infer_makespan
+    }
+}
+
+/// One phase of the day: the journal mark written once the phase is durable,
+/// its name in a crash report, and the function.
+type PhaseStep = (Phase, &'static str, fn(&mut SigmundService, &mut Day));
+
+/// The day, in order (DESIGN.md §18).
+const PHASES: [PhaseStep; 5] = [
+    (Phase::SweepPlanned, "plan", SigmundService::plan),
+    (Phase::Trained, "train", SigmundService::train),
+    (Phase::Selected, "select", SigmundService::select),
+    (Phase::Inferred, "infer", SigmundService::infer),
+    (Phase::Published, "publish", SigmundService::publish),
+];
 
 /// What [`SigmundService::recover`] rebuilt from durable state.
 pub struct Recovered {
@@ -329,47 +394,64 @@ impl SigmundService {
         &self.retailers
     }
 
-    /// Runs one daily cycle.
+    /// Runs one daily cycle: the day-start journal mark, then a fold over
+    /// the phase list — each phase a private method over the day's [`Day`]
+    /// state, followed by the one crash check and journal mark every phase
+    /// boundary shares — then the close-out (DESIGN.md §18).
     ///
     /// # Errors
-    /// [`SigmundError::Invalid`] if materialized recommendations fail to
-    /// serialize during batch publish (the day's outputs are discarded and
-    /// the day counter does not advance).
+    /// [`SigmundError::Crashed`] if the kill-point fired: the day's outputs
+    /// are discarded, the day counter does not advance, and
+    /// [`SigmundService::recover`] re-runs the day from the journal.
     pub fn run_day(&mut self) -> Result<DayReport, SigmundError> {
-        let day_seed = self.cfg.seed.wrapping_add(self.day as u64 * 0x9E37);
-        let obs = self.cfg.obs.clone();
-        let bus = self.cfg.bus.clone();
-        let day_start = self.virtual_now;
         if let Some(inj) = self.dfs.injector() {
             inj.begin_day(self.day);
         }
-        // --- day-start journal ---------------------------------------------
-        // Snapshot the day's *inputs* before anything mutates them (the
-        // sweep clears `new_since_last_run` below): recovery re-executes an
+        // Snapshot the day's *inputs* before anything mutates them (the plan
+        // phase drains `new_since_last_run`): recovery re-executes an
         // interrupted day from this snapshot, and deterministic overwrites
         // make the re-run idempotent (DESIGN.md §14).
-        let mut manifest = if self.cfg.journal {
-            Some(self.manifest_now(Phase::Planned))
-        } else {
-            None
-        };
+        let mut manifest = self.cfg.journal.then(|| self.manifest_now(Phase::Planned));
         self.journal_mark(manifest.as_mut(), Phase::Planned)?;
-        // --- model-generation GC ------------------------------------------
-        // Running the sweep at day *start* (not day end) is load-bearing for
+        let mut day = Day {
+            seed: self.cfg.seed.wrapping_add(self.day as u64 * 0x9E37),
+            start: self.virtual_now,
+            ..Day::default()
+        };
+        for (mark, name, phase) in PHASES {
+            phase(self, &mut day);
+            // The simulated process is dead once the kill-point fires, and
+            // nothing inside a phase (task retries, graceful degradation)
+            // may absorb that into a "successful" day.
+            self.check_crash(name)?;
+            self.journal_mark(manifest.as_mut(), mark)?;
+        }
+        Ok(self.close_day(day))
+    }
+
+    /// Phase 1 — plan: model-generation GC, then the sweep. Leaves today's
+    /// config records (output paths stamped) in `day.records`.
+    fn plan(&mut self, day: &mut Day) {
+        // Running the GC at day *start* (not day end) is load-bearing for
         // crash recovery: a partially applied GC can only have deleted blobs
         // the re-run never reads, so recovery's sweep by the same rule
         // converges to the same tree (DESIGN.md §14).
         for path in self.unreferenced_models() {
-            // xtask: allow(error-swallow) — GC of a superseded model generation is best-effort; an undeletable blob is retried at the next day boundary, and a crash fault is caught by the check below
+            // xtask: allow(error-swallow) — GC of a superseded model generation is best-effort; an undeletable blob is retried at the next day boundary, and a crash fault is caught at the phase boundary
             let _ = self.dfs.delete(&path);
         }
-        self.check_crash("model gc")?;
-        // --- sweep --------------------------------------------------------
-        let new_catalogs: Vec<Catalog> = self
-            .new_since_last_run
-            .iter()
-            .filter_map(|r| data::load_catalog(&self.dfs, self.cfg.cells[0].cell, *r).ok())
-            .collect();
+        // A new retailer whose catalog stays unreadable within the retry
+        // budget keeps its place in `new_since_last_run`: it has no previous
+        // records to carry forward, so dropping it here would leave it
+        // untrained forever instead of getting tomorrow's full grid.
+        let signed_up = std::mem::take(&mut self.new_since_last_run);
+        let mut new_catalogs: Vec<Catalog> = Vec::with_capacity(signed_up.len());
+        for &r in &signed_up {
+            match data::retry_op(|| data::load_catalog(&self.dfs, self.cfg.cells[0].cell, r)) {
+                Ok(catalog) => new_catalogs.push(catalog),
+                Err(_) => self.new_since_last_run.push(r),
+            }
+        }
         let new_refs: Vec<&Catalog> = new_catalogs.iter().collect();
         let mut records = sweep::incremental_sweep(
             &self.last_outputs,
@@ -377,7 +459,7 @@ impl SigmundService {
             self.cfg.incremental_epochs,
             &new_refs,
             &self.cfg.grid,
-            day_seed,
+            day.seed,
         );
         // Stamp today's output location into every planned record. The sweep
         // copied `warm_start_path` from yesterday's (already day-stamped)
@@ -392,30 +474,33 @@ impl SigmundService {
             .iter()
             .filter(|r| r.warm_start_path.is_some())
             .count();
-        obs.instant(
+        self.cfg.obs.instant(
             Level::Info,
             "pipeline",
             "sweep plan",
             Track::PIPELINE,
-            day_start,
+            day.start,
             &[
                 ("warm_models", warm_models.into()),
                 ("cold_models", (records.len() - warm_models).into()),
-                ("new_retailers", self.new_since_last_run.len().into()),
+                ("new_retailers", signed_up.len().into()),
             ],
         );
-        self.new_since_last_run.clear();
-        let models_trained = records.len();
-        self.check_crash("sweep")?;
-        self.journal_mark(manifest.as_mut(), Phase::SweepPlanned)?;
+        // Which retailers the sweep planned work for: a planned retailer
+        // whose configs all fail keeps its previous records alive so the
+        // next day's incremental sweep retrains (and recovers) it.
+        day.planned = records.iter().map(|r| r.model.retailer).collect();
+        day.models_trained = records.len();
+        day.records = records;
+    }
 
-        // --- assign retailers (and their records) to cells -----------------
-        // Pack retailers by estimated training work, then migrate their data
-        // to the chosen cell (Section IV-B1) and permute records within it.
-        // Both per-retailer tables are flat arenas indexed by the dense
-        // `RetailerId` — one word per retailer instead of a tree node, and
-        // index order *is* sorted-id order, so the packing input (and thus
-        // every downstream byte) is unchanged from the BTreeMap version.
+    /// Packs retailers onto cells by estimated training work, migrates
+    /// their data to the chosen cell (Section IV-B1) and permutes each
+    /// cell's records. Both per-retailer tables are flat arenas indexed by
+    /// the dense `RetailerId` — one word per retailer instead of a tree
+    /// node, and index order *is* sorted-id order, so the packing input is
+    /// the same as a sorted map's.
+    fn place(&self, records: Vec<ConfigRecord>, day_seed: u64) -> Vec<Vec<ConfigRecord>> {
         let n_slots = records
             .iter()
             .map(|r| r.model.retailer.0 as usize + 1)
@@ -452,161 +537,152 @@ impl SigmundService {
                     .migrate(&data::train_path(w.item), self.cfg.cells[ci].cell);
             }
         }
-        let mut per_cell_records: Vec<Vec<ConfigRecord>> = vec![Vec::new(); self.cfg.cells.len()];
+        let mut per_cell: Vec<Vec<ConfigRecord>> = vec![Vec::new(); self.cfg.cells.len()];
         for r in records {
             let ci = cell_of
                 .get(r.model.retailer.0 as usize)
                 .copied()
                 .unwrap_or(0);
-            per_cell_records[ci].push(r);
+            per_cell[ci].push(r);
         }
-        for (ci, recs) in per_cell_records.iter_mut().enumerate() {
+        for (ci, recs) in per_cell.iter_mut().enumerate() {
             *recs = permute(recs, day_seed ^ ci as u64);
         }
-        // Which retailers the sweep planned work for: a planned retailer
-        // whose configs all fail keeps its previous records alive so the
-        // next day's incremental sweep retrains (and recovers) it.
-        let planned: BTreeSet<RetailerId> = per_cell_records
-            .iter()
-            .flatten()
-            .map(|r| r.model.retailer)
-            .collect();
-        let max_attempts = self.cfg.chaos.max_attempts.unwrap_or(MAX_TASK_ATTEMPTS);
+        per_cell
+    }
 
-        // --- training MapReduces (one per cell) ----------------------------
-        let mut outputs = Vec::new();
-        let mut train_stats = Vec::new();
-        let mut cost = CostMeter::default();
-        let mut preemptions = 0u64;
-        let mut train_makespan = 0.0f64;
-        for (ci, recs) in per_cell_records.into_iter().enumerate() {
+    /// The one [`JobConfig`] both MapReduce phases run under: pre-emptible
+    /// priority on cell `ci`, with the chaos knobs (retry cap, backoff,
+    /// storms, flaky-machine policy) applied.
+    fn job_config(&self, ci: usize, seed: u64, start: f64) -> JobConfig {
+        JobConfig {
+            cell: self.cfg.cells[ci].clone(),
+            priority: Priority::Preemptible,
+            preemption: self.cfg.preemption,
+            seed,
+            max_attempts: Some(self.cfg.chaos.max_attempts.unwrap_or(MAX_TASK_ATTEMPTS)),
+            backoff: self.cfg.chaos.backoff,
+            storms: self.cfg.chaos.storms_for(ci, self.day, start),
+            flaky: self.cfg.chaos.flaky,
+        }
+    }
+
+    /// Phase 2 — train: place the planned records, then one training
+    /// MapReduce per cell. Cells run in (virtual) parallel: the phase's
+    /// makespan is the max over its jobs, its cost their sum.
+    fn train(&mut self, day: &mut Day) {
+        let per_cell = self.place(std::mem::take(&mut day.records), day.seed);
+        for (ci, recs) in per_cell.into_iter().enumerate() {
             if recs.is_empty() {
                 continue;
             }
-            let cell = self.cfg.cells[ci].clone();
-            let mut job = TrainJob::new(&self.dfs, cell.cell, recs, self.cfg.cost);
+            let mut job = TrainJob::new(&self.dfs, self.cfg.cells[ci].cell, recs, self.cfg.cost);
             job.threads = self.cfg.threads;
             job.checkpoint_interval = self.cfg.checkpoint_interval;
             let stats = run_map_job_obs(
                 &job,
                 job.n_splits(),
-                &JobConfig {
-                    cell,
-                    priority: Priority::Preemptible,
-                    preemption: self.cfg.preemption,
-                    seed: day_seed ^ (ci as u64) << 8,
-                    max_attempts: Some(max_attempts),
-                    backoff: self.cfg.chaos.backoff,
-                    storms: self.cfg.chaos.storms_for(ci, self.day, day_start),
-                    flaky: self.cfg.chaos.flaky,
-                },
+                &self.job_config(ci, day.seed ^ ((ci as u64) << 8), day.start),
                 &format!("train cell {ci}"),
-                &obs,
-                day_start,
+                &self.cfg.obs,
+                day.start,
                 self.train_workers(),
             );
-            outputs.extend(job.take_outputs());
-            cost.merge(&stats.cost);
-            preemptions += stats.preemptions;
-            train_makespan = train_makespan.max(stats.makespan);
-            train_stats.push(stats);
+            day.outputs.extend(job.take_outputs());
+            day.cost.merge(&stats.cost);
+            day.preemptions += stats.preemptions;
+            day.train_makespan = day.train_makespan.max(stats.makespan);
+            day.train_stats.push(stats);
         }
-        obs.span(
+        let trained_at = day.trained_at();
+        self.cfg.obs.span(
             Level::Info,
             "pipeline",
             "train phase",
             Track::PIPELINE,
-            day_start,
-            day_start + train_makespan,
-            &[("models", models_trained.into())],
+            day.start,
+            trained_at,
+            &[("models", day.models_trained.into())],
         );
-        bus.publish(HealthEvent::Phase {
-            ts: day_start + train_makespan,
+        self.cfg.bus.publish(HealthEvent::Phase {
+            ts: trained_at,
             day: self.day,
             phase: "train",
-            makespan_s: train_makespan,
+            makespan_s: day.train_makespan,
         });
-        self.check_crash("train")?;
-        self.journal_mark(manifest.as_mut(), Phase::Trained)?;
+    }
 
-        // --- model selection -----------------------------------------------
-        let mut best: BTreeMap<RetailerId, ConfigRecord> = sweep::top_k_per_retailer(&outputs, 1)
+    /// Phase 3 — select: the best config per retailer, then the admission
+    /// gate — the last check before a model's recommendations can go LIVE.
+    /// Every winner is re-read from the DFS (storage checksum catches torn
+    /// or bit-flipped blobs), its snapshot validated (parseable garbage) and
+    /// the quality gate applied (degenerate models). A rejected winner is
+    /// removed from `day.best`, which routes its retailer through the
+    /// publish phase's graceful degradation.
+    fn select(&mut self, day: &mut Day) {
+        let trained_at = day.trained_at();
+        day.best = sweep::top_k_per_retailer(&day.outputs, 1)
             .into_iter()
             .map(|r| (r.model.retailer, r))
             .collect();
-        obs.instant(
+        self.cfg.obs.instant(
             Level::Info,
             "pipeline",
             "model selection",
             Track::PIPELINE,
-            day_start + train_makespan,
+            trained_at,
             &[
-                ("candidates", outputs.len().into()),
-                ("winners", best.len().into()),
+                ("candidates", day.outputs.len().into()),
+                ("winners", day.best.len().into()),
             ],
         );
-
-        // --- admission gate -------------------------------------------------
-        // The last check before a model's recommendations can go LIVE:
-        // re-read every winner from the DFS (storage checksum catches torn
-        // or bit-flipped blobs), validate the snapshot (catches parseable
-        // garbage), and apply the quality gate (catches degenerate models).
-        // A rejected winner is removed from `best`, which routes its
-        // retailer through the existing graceful-degradation path below.
-        let mut rejected: Vec<RetailerId> = Vec::new();
-        if self.cfg.integrity.gate {
-            let mut winners: Vec<RetailerId> = best.keys().copied().collect();
-            winners.sort_unstable();
-            for r in winners {
-                match self.admit(&best[&r]) {
-                    Ok(Some(map)) => {
-                        self.set_last_accepted(r, map);
-                    }
-                    Ok(None) => {}
-                    Err(reason) => {
-                        obs.instant(
-                            Level::Warn,
-                            "integrity",
-                            &format!("reject {r}"),
-                            Track::PIPELINE,
-                            day_start + train_makespan,
-                            &[("reason", reason.label().into())],
-                        );
-                        bus.publish(reason.health_event(day_start + train_makespan, self.day, r));
-                        rejected.push(r);
-                        best.remove(&r);
-                    }
+        if !self.cfg.integrity.gate {
+            return;
+        }
+        let winners: Vec<RetailerId> = day.best.keys().copied().collect();
+        for r in winners {
+            match self.admit(&day.best[&r]) {
+                Ok(Some(map)) => self.set_last_accepted(r, map),
+                Ok(None) => {}
+                Err(reason) => {
+                    self.cfg.obs.instant(
+                        Level::Warn,
+                        "integrity",
+                        &format!("reject {r}"),
+                        Track::PIPELINE,
+                        trained_at,
+                        &[("reason", reason.label().into())],
+                    );
+                    self.cfg
+                        .bus
+                        .publish(reason.health_event(trained_at, self.day, r));
+                    day.rejected.push(r);
+                    day.best.remove(&r);
                 }
             }
         }
-        self.check_crash("selection")?;
-        self.journal_mark(manifest.as_mut(), Phase::Selected)?;
+    }
 
-        // --- inference MapReduces ------------------------------------------
-        // Bin-pack retailers by *item count* (Section IV-C1), then one job
-        // per cell over contiguous item-range splits.
+    /// Phase 4 — infer: bin-pack the day's winners by *item count*
+    /// (Section IV-C1), then one inference MapReduce per cell over
+    /// contiguous item-range splits. Every finished split leaves its rows
+    /// as an `SGRC` part blob for the publish phase to stitch.
+    fn infer(&mut self, day: &mut Day) {
+        let trained_at = day.trained_at();
         let weighted_items: Vec<Weighted<RetailerId>> = self
             .retailers
             .iter()
-            .filter(|(r, _)| best.contains_key(r))
+            .filter(|(r, _)| day.best.contains_key(r))
             .map(|(r, n)| Weighted {
                 item: *r,
                 weight: *n as f64,
             })
             .collect();
-        let infer_bins = partition_greedy(&weighted_items, self.cfg.cells.len());
-        let mut infer_stats = Vec::new();
-        let mut infer_makespan = 0.0f64;
-        let mut all_recs: Vec<MaterializedRec> = Vec::new();
-        // Retailers with at least one abandoned inference split: their
-        // materialized tables would have holes, so they degrade to the
-        // previous published generation instead.
-        let mut infer_failed: BTreeSet<RetailerId> = BTreeSet::new();
-        for (ci, bin) in infer_bins.iter().enumerate() {
+        let bins = partition_greedy(&weighted_items, self.cfg.cells.len());
+        for (ci, bin) in bins.iter().enumerate() {
             if bin.is_empty() {
                 continue;
             }
-            let cell = self.cfg.cells[ci].clone();
             let counts: Vec<(RetailerId, usize)> =
                 bin.iter().map(|w| (w.item, w.weight as usize)).collect();
             let splits = make_splits(&counts, self.cfg.items_per_split);
@@ -616,299 +692,222 @@ impl SigmundService {
             // map per cell is O(cells × retailers) for nothing.
             let bin_best: BTreeMap<RetailerId, ConfigRecord> = bin
                 .iter()
-                .filter_map(|w| best.get(&w.item).map(|rec| (w.item, rec.clone())))
+                .filter_map(|w| day.best.get(&w.item).map(|rec| (w.item, rec.clone())))
                 .collect();
-            let mut job = InferenceJob::new(&self.dfs, cell.cell, splits, bin_best, self.cfg.cost);
+            let cell = self.cfg.cells[ci].cell;
+            let mut job = InferenceJob::new(&self.dfs, cell, splits, bin_best, self.cfg.cost);
             job.k = self.cfg.rec_k;
             job.threads = self.cfg.infer_threads;
-            job.persist_splits = self.cfg.stream_recs;
             let stats = run_map_job_obs(
                 &job,
                 job.n_splits(),
-                &JobConfig {
-                    cell,
-                    priority: Priority::Preemptible,
-                    preemption: self.cfg.preemption,
-                    seed: day_seed ^ 0xFACE ^ ((ci as u64) << 16),
-                    max_attempts: Some(max_attempts),
-                    backoff: self.cfg.chaos.backoff,
-                    storms: self
-                        .cfg
-                        .chaos
-                        .storms_for(ci, self.day, day_start + train_makespan),
-                    flaky: self.cfg.chaos.flaky,
-                },
+                &self.job_config(ci, day.seed ^ 0xFACE ^ ((ci as u64) << 16), trained_at),
                 &format!("infer cell {ci}"),
-                &obs,
-                day_start + train_makespan,
+                &self.cfg.obs,
+                trained_at,
                 // One engine worker: the job fans out inside each split
                 // over `infer_threads`, and both at once would exceed it.
                 1,
             );
-            infer_failed.extend(stats.failed.iter().map(|t| split_retailers[t.index()]));
-            all_recs.extend(job.take_outputs());
-            cost.merge(&stats.cost);
-            preemptions += stats.preemptions;
-            infer_makespan = infer_makespan.max(stats.makespan);
-            infer_stats.push(stats);
+            // A retailer with an abandoned split has an incomplete part
+            // set; the publish phase degrades it instead of stitching.
+            day.infer_failed
+                .extend(stats.failed.iter().map(|t| split_retailers[t.index()]));
+            day.cost.merge(&stats.cost);
+            day.preemptions += stats.preemptions;
+            day.infer_makespan = day.infer_makespan.max(stats.makespan);
+            day.infer_stats.push(stats);
         }
-        let day_end = day_start + train_makespan + infer_makespan;
-        obs.span(
+        let day_end = day.end();
+        self.cfg.obs.span(
             Level::Info,
             "pipeline",
             "infer phase",
             Track::PIPELINE,
-            day_start + train_makespan,
+            trained_at,
             day_end,
             &[("retailers", weighted_items.len().into())],
         );
-        bus.publish(HealthEvent::Phase {
+        self.cfg.bus.publish(HealthEvent::Phase {
             ts: day_end,
             day: self.day,
             phase: "infer",
-            makespan_s: infer_makespan,
+            makespan_s: day.infer_makespan,
         });
-        self.check_crash("infer")?;
-        self.journal_mark(manifest.as_mut(), Phase::Inferred)?;
+    }
 
-        // --- graceful degradation -------------------------------------------
+    /// Phase 5 — publish: graceful degradation, then the one writer of
+    /// `/recs/r*` (DESIGN.md §12). One retailer at a time, in id order:
+    /// stitch its table from the part blobs, encode, write, drop — so
+    /// resident output is bounded by the largest single retailer, and the
+    /// ledger charge makes that peak a measurable, deterministic number.
+    fn publish(&mut self, day: &mut Day) {
+        let day_end = day.end();
         // A retailer whose model selection or inference exhausted its fault
         // budget keeps serving the previous published generation: its DFS
         // recs are left untouched, it is excluded from today's batch, and it
         // is reported so the monitor can raise `QualityAlert::Degraded`.
-        let mut degraded: Vec<RetailerId> = Vec::new();
         for (r, _) in &self.retailers {
-            let failed_today = !best.contains_key(r) || infer_failed.contains(r);
+            let failed_today = !day.best.contains_key(r) || day.infer_failed.contains(r);
             if failed_today && self.dfs.exists(&data::recs_path(*r)) {
-                degraded.push(*r);
+                day.degraded.push(*r);
             }
         }
-
-        // --- batch publish --------------------------------------------------
-        let mut recs: BTreeMap<RetailerId, Vec<ItemRecs>> = BTreeMap::new();
-        if !self.cfg.stream_recs {
-            for (r, n) in &self.retailers {
-                if best.contains_key(r) && !degraded.contains(r) {
-                    recs.insert(*r, vec![ItemRecs::default(); *n]);
-                }
-            }
-        }
-        for m in all_recs {
-            if let Some(v) = recs.get_mut(&m.retailer) {
-                let slot = m.item.index();
-                if slot < v.len() {
-                    v[slot] = m.recs;
-                }
-            }
-        }
-        let mut recs_published = 0u64;
-        if self.cfg.stream_recs {
-            // Streaming publish (DESIGN.md §12): stitch one retailer's table
-            // at a time from the part blobs its inference splits persisted,
-            // publish it, and drop it before the next retailer. Resident
-            // output is bounded by the largest single retailer; the ledger
-            // charge makes that peak a measurable, deterministic number.
-            // Sorting by retailer id matches the BTreeMap publish order of
-            // the materialized path.
-            let mut publishable: Vec<(RetailerId, usize)> = self
-                .retailers
-                .iter()
-                .filter(|(r, _)| best.contains_key(r) && !degraded.contains(r))
-                .copied()
-                .collect();
-            publishable.sort_unstable_by_key(|(r, _)| *r);
-            for &(r, n) in &publishable {
-                let mut table = vec![ItemRecs::default(); n];
-                let mut start = 0usize;
-                while start < n {
-                    let part = data::recs_part_path(r, start as u32);
-                    // A missing or unreadable part leaves default holes —
-                    // but its split already failed, so the retailer is in
-                    // `infer_failed` and was degraded above; this loop only
-                    // sees complete part sets on clean runs.
-                    if let Some(pc) = self.dfs.home_of(&part) {
-                        if let Ok(bytes) = self.dfs.read(pc, &part) {
-                            if let Ok(rows) = data::decode_recs(&bytes) {
-                                for (off, row) in rows.into_iter().enumerate() {
-                                    if start + off < n {
-                                        table[start + off] = row;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    start += self.cfg.items_per_split;
-                }
-                let _charge = self.cfg.ledger.charge(data::recs_logical_bytes(&table));
-                let blob = data::encode_recs(&table);
-                // A resumed day skips exactly the tables the crashed run
-                // already made durable (journal publish markers); the
-                // re-computed bytes are identical, so skipping the write
-                // changes nothing but the op count.
-                let already_durable = self.resume_publish_done.contains(&r);
-                let mut published = already_durable;
-                for _ in 0..3 {
-                    if published {
-                        break;
-                    }
-                    if self
-                        .dfs
-                        .write(self.cfg.cells[0].cell, &data::recs_path(r), blob.clone())
-                        .is_ok()
-                    {
-                        published = true;
-                    }
-                }
-                if !published {
-                    degraded.push(r);
-                    continue;
-                }
-                if !already_durable {
-                    self.journal_publish_marker(manifest.is_some(), r);
-                }
-                recs_published += n as u64;
-                obs.instant(
-                    Level::Debug,
-                    "pipeline",
-                    &format!("publish {r}"),
-                    Track::PIPELINE,
-                    day_end,
-                    &[("items", n.into())],
-                );
-            }
-            // Part blobs are scratch: sweep them all (including leftovers
-            // from degraded or failed retailers, and any orphaned `/TMP`
-            // siblings a crashed writer left behind) so they never
-            // accumulate across days.
-            for &(r, n) in &self.retailers {
-                let mut start = 0usize;
-                while start < n {
-                    let part = data::recs_part_path(r, start as u32);
-                    // xtask: allow(error-swallow) — deleting a part that was never written (failed split) is expected
-                    let _ = self.dfs.delete(&part);
-                    // xtask: allow(error-swallow) — the TMP sibling only exists if a writer crashed mid-publish
-                    let _ = self.dfs.delete(&format!("{part}/TMP"));
-                    start += self.cfg.items_per_split;
-                }
-            }
-        } else {
-            // Materialize-everything path: kept byte-identical to the
-            // pre-streaming pipeline. The ledger charge covers the whole
-            // resident batch at once — linear in fleet items, which is
-            // exactly the footprint streaming mode exists to avoid.
-            let _batch_charge = if self.cfg.ledger.is_enabled() {
-                let total: u64 = recs.values().map(|v| data::recs_logical_bytes(v)).sum();
-                Some(self.cfg.ledger.charge(total))
-            } else {
-                None
+        let mut publishable: Vec<(RetailerId, usize)> = self
+            .retailers
+            .iter()
+            .filter(|(r, _)| day.best.contains_key(r) && !day.degraded.contains(r))
+            .copied()
+            .collect();
+        publishable.sort_unstable_by_key(|(r, _)| *r);
+        // Charges for the tables the report keeps (`!stream_recs`): held to
+        // the end of the phase, so the ledger peaks at the fleet sum there
+        // and at the largest single table otherwise.
+        let mut retained = Vec::new();
+        for (r, n) in publishable {
+            // A table is published whole or not at all: holes would replace
+            // a good previous generation with silently empty rows.
+            let Some(table) = self.stitch(r, n) else {
+                day.degraded.push(r);
+                continue;
             };
-            // BTreeMap keys iterate in sorted retailer order, so the publish
-            // sequence (and the trace) is deterministic by construction.
-            let publish_order: Vec<RetailerId> = recs.keys().copied().collect();
-            for r in &publish_order {
-                let v = &recs[r];
-                let json = serde_json::to_vec(v)
-                    .map_err(|e| SigmundError::Invalid(format!("recs serialize: {e}")))?;
-                // Injected write faults are transient: retry a few times, then
-                // degrade the retailer (previous generation stays live) rather
-                // than fail the whole day. A resumed day skips the tables the
-                // crashed run already made durable (journal publish markers).
-                let already_durable = self.resume_publish_done.contains(r);
-                let mut published = already_durable;
-                for _ in 0..3 {
-                    if published {
-                        break;
-                    }
-                    if self
-                        .dfs
-                        .write(
-                            self.cfg.cells[0].cell,
-                            &data::recs_path(*r),
-                            json.clone().into(),
-                        )
-                        .is_ok()
-                    {
-                        published = true;
-                    }
-                }
-                if !published {
-                    degraded.push(*r);
+            let charge = self.cfg.ledger.charge(data::recs_logical_bytes(&table));
+            let blob = data::encode_recs(&table);
+            // A resumed day skips exactly the tables the crashed run already
+            // made durable (journal publish markers); the re-computed bytes
+            // are identical, so skipping the write changes nothing but the
+            // op count. Injected write faults are transient: retry within
+            // the budget, then degrade the retailer (previous generation
+            // stays live) rather than fail the whole day.
+            if !self.resume_publish_done.contains(&r) {
+                let path = data::recs_path(r);
+                let home = self.cfg.cells[0].cell;
+                if data::retry_op(|| self.dfs.write(home, &path, blob.clone())).is_err() {
+                    day.degraded.push(r);
                     continue;
                 }
-                if !already_durable {
-                    self.journal_publish_marker(manifest.is_some(), *r);
-                }
-                recs_published += v.len() as u64;
-                obs.instant(
-                    Level::Debug,
-                    "pipeline",
-                    &format!("publish {r}"),
-                    Track::PIPELINE,
-                    day_end,
-                    &[("items", v.len().into())],
-                );
+                self.journal_publish_marker(r);
+            }
+            day.recs_published += n as u64;
+            self.cfg.obs.instant(
+                Level::Debug,
+                "pipeline",
+                &format!("publish {r}"),
+                Track::PIPELINE,
+                day_end,
+                &[("items", n.into())],
+            );
+            if !self.cfg.stream_recs {
+                day.recs.insert(r, table);
+                retained.push(charge);
             }
         }
-        self.check_crash("publish")?;
-        self.journal_mark(manifest.as_mut(), Phase::Published)?;
+        self.sweep_part_blobs();
+        day.degraded.sort_unstable();
+    }
+
+    /// Stitches retailer `r`'s `n`-row table from the part blobs its
+    /// inference splits wrote, each read within the driver retry budget.
+    /// `None` if any part is missing (its split was abandoned), stays
+    /// unreadable, or fails to decode — the caller degrades the retailer.
+    fn stitch(&self, r: RetailerId, n: usize) -> Option<Vec<ItemRecs>> {
+        let mut table: Vec<ItemRecs> = Vec::with_capacity(n);
+        for start in (0..n).step_by(self.cfg.items_per_split) {
+            let part = data::recs_part_path(r, start as u32);
+            let cell = self.dfs.home_of(&part)?;
+            let rows = data::retry_op(|| {
+                self.dfs
+                    .read(cell, &part)
+                    .and_then(|bytes| data::decode_recs(&bytes))
+            })
+            .ok()?;
+            table.extend(rows);
+        }
+        (table.len() == n).then_some(table)
+    }
+
+    /// The part-blob scratch rule, in its one place: everything under
+    /// `/recs_parts/` — parts and the `/TMP` siblings a crashed writer left
+    /// behind alike — is deleted, by listing rather than by walking today's
+    /// roster, so leftovers of degraded retailers, a changed
+    /// `items_per_split` or a shrunken roster go too. Called at the end of
+    /// every publish phase and by [`SigmundService::recover`].
+    fn sweep_part_blobs(&self) {
+        for path in self.dfs.list(data::RECS_PARTS_PREFIX) {
+            // xtask: allow(error-swallow) — scratch GC is best-effort: a surviving part is overwritten or swept by the next day's publish phase, and a crash is caught at the phase boundary
+            let _ = self.dfs.delete(&path);
+        }
+    }
+
+    /// Chaos summary for the day: the injected-fault delta since the
+    /// previous day. Only emitted when an injector is attached, so runs
+    /// without one (including the all-zero plan, which never builds an
+    /// injector) stay byte-identical to the pre-chaos pipeline.
+    fn fault_summary(&mut self, degraded: usize, day_end: f64) -> FaultStats {
+        let Some(s) = self.dfs.injector().map(|inj| inj.stats()) else {
+            return FaultStats::default();
+        };
+        let prev = self.fault_stats_seen;
+        let delta = FaultStats {
+            read_errors: s.read_errors - prev.read_errors,
+            write_errors: s.write_errors - prev.write_errors,
+            torn_reads: s.torn_reads - prev.torn_reads,
+            partition_blocks: s.partition_blocks - prev.partition_blocks,
+            bit_flips: s.bit_flips - prev.bit_flips,
+            crashes: s.crashes - prev.crashes,
+        };
+        let obs = &self.cfg.obs;
+        obs.counter("chaos.read_errors", delta.read_errors);
+        obs.counter("chaos.write_errors", delta.write_errors);
+        obs.counter("chaos.torn_reads", delta.torn_reads);
+        obs.counter("chaos.partition_blocks", delta.partition_blocks);
+        obs.counter("chaos.degraded_retailer_days", degraded as u64);
+        obs.instant(
+            Level::Info,
+            "chaos",
+            &format!("day {} fault summary", self.day),
+            Track::CHAOS,
+            day_end,
+            &[
+                ("read_errors", delta.read_errors.into()),
+                ("write_errors", delta.write_errors.into()),
+                ("torn_reads", delta.torn_reads.into()),
+                ("partition_blocks", delta.partition_blocks.into()),
+                ("degraded", degraded.into()),
+            ],
+        );
+        self.fault_stats_seen = s;
+        delta
+    }
+
+    /// The close-out every completed day shares: fault, integrity and fleet
+    /// summaries, the virtual clock, the carry-forward records and the
+    /// [`DayReport`].
+    fn close_day(&mut self, day: Day) -> DayReport {
+        let obs = self.cfg.obs.clone();
+        let bus = self.cfg.bus.clone();
+        let day_end = day.end();
         // The resume skip-set only ever applies to the recovered day.
         self.resume_publish_done.clear();
-        degraded.sort_unstable();
-        for r in &degraded {
-            recs.remove(r);
+        for r in &day.degraded {
             bus.publish(HealthEvent::Degraded {
                 ts: day_end,
                 day: self.day,
                 retailer: r.0,
             });
         }
-        obs.counter("pipeline.recs_published", recs_published);
+        obs.counter("pipeline.recs_published", day.recs_published);
         obs.counter("pipeline.days", 1);
-        obs.counter("pipeline.preemptions", preemptions);
-        // Chaos summary: only emitted when an injector is attached, so runs
-        // without one (including the all-zero plan, which never builds an
-        // injector) stay byte-identical to the pre-chaos pipeline.
-        let mut fault_delta = FaultStats::default();
-        if let Some(inj) = self.dfs.injector() {
-            let s = inj.stats();
-            let prev = self.fault_stats_seen;
-            fault_delta = FaultStats {
-                read_errors: s.read_errors - prev.read_errors,
-                write_errors: s.write_errors - prev.write_errors,
-                torn_reads: s.torn_reads - prev.torn_reads,
-                partition_blocks: s.partition_blocks - prev.partition_blocks,
-                bit_flips: s.bit_flips - prev.bit_flips,
-                crashes: s.crashes - prev.crashes,
-            };
-            obs.counter("chaos.read_errors", fault_delta.read_errors);
-            obs.counter("chaos.write_errors", fault_delta.write_errors);
-            obs.counter("chaos.torn_reads", fault_delta.torn_reads);
-            obs.counter("chaos.partition_blocks", fault_delta.partition_blocks);
-            obs.counter("chaos.degraded_retailer_days", degraded.len() as u64);
-            obs.instant(
-                Level::Info,
-                "chaos",
-                &format!("day {} fault summary", self.day),
-                Track::CHAOS,
-                day_end,
-                &[
-                    ("read_errors", fault_delta.read_errors.into()),
-                    ("write_errors", fault_delta.write_errors.into()),
-                    ("torn_reads", fault_delta.torn_reads.into()),
-                    ("partition_blocks", fault_delta.partition_blocks.into()),
-                    ("degraded", degraded.len().into()),
-                ],
-            );
-            self.fault_stats_seen = s;
-        }
+        obs.counter("pipeline.preemptions", day.preemptions);
+        let fault_delta = self.fault_summary(day.degraded.len(), day_end);
         // Integrity summary: emitted only when something could have changed
         // the outcome (an injector is attached, a model was rejected, or a
         // checksum actually failed), so clean runs emit nothing and stay
         // byte-identical to the pre-gate pipeline.
         let integ = self.dfs.integrity_stats();
         let checksum_delta = integ.checksum_failures - self.integrity_seen.checksum_failures;
-        if self.dfs.injector().is_some() || !rejected.is_empty() || checksum_delta > 0 {
-            obs.counter("integrity.rejected", rejected.len() as u64);
+        if self.dfs.injector().is_some() || !day.rejected.is_empty() || checksum_delta > 0 {
+            obs.counter("integrity.rejected", day.rejected.len() as u64);
             obs.counter("integrity.checksum_failures", checksum_delta);
         }
         self.integrity_seen = integ;
@@ -931,7 +930,7 @@ impl SigmundService {
             ts: day_end,
             day: self.day,
             retailers: self.retailers.len(),
-            makespan_s: train_makespan + infer_makespan,
+            makespan_s: day.train_makespan + day.infer_makespan,
             peak_logical_bytes: self.cfg.ledger.peak(),
         });
         if self.cfg.ledger.is_enabled() {
@@ -941,59 +940,62 @@ impl SigmundService {
                 self.cfg.ledger.peak() as f64,
             );
         }
-        obs.gauge("pipeline.models_trained", day_end, models_trained as f64);
-        obs.gauge("pipeline.train_makespan_s", day_end, train_makespan);
-        obs.gauge("pipeline.infer_makespan_s", day_end, infer_makespan);
-        obs.gauge("pipeline.cost_cpu_s", day_end, cost.total_cpu_s());
+        obs.gauge(
+            "pipeline.models_trained",
+            day_end,
+            day.models_trained as f64,
+        );
+        obs.gauge("pipeline.train_makespan_s", day_end, day.train_makespan);
+        obs.gauge("pipeline.infer_makespan_s", day_end, day.infer_makespan);
+        obs.gauge("pipeline.cost_cpu_s", day_end, day.cost.total_cpu_s());
         obs.span(
             Level::Info,
             "pipeline",
             &format!("day {}", self.day),
             Track::PIPELINE,
-            day_start,
+            day.start,
             day_end,
             &[
-                ("models_trained", models_trained.into()),
-                ("preemptions", preemptions.into()),
+                ("models_trained", day.models_trained.into()),
+                ("preemptions", day.preemptions.into()),
                 ("retailers", self.retailers.len().into()),
             ],
         );
         // Advance the virtual clock; a no-work day still takes nominal time
         // so successive days never share a timestamp.
-        self.virtual_now = if day_end > day_start {
+        self.virtual_now = if day_end > day.start {
             day_end
         } else {
-            day_start + 1.0
+            day.start + 1.0
         };
-
         // Carry forward yesterday's records for planned retailers whose
         // training produced nothing today (fault-budget exhaustion):
         // tomorrow's incremental sweep then retrains them instead of
         // silently dropping them from the fleet forever.
-        let trained: BTreeSet<RetailerId> = outputs.iter().map(|r| r.model.retailer).collect();
-        let mut next_outputs = outputs;
+        let trained: BTreeSet<RetailerId> = day.outputs.iter().map(|r| r.model.retailer).collect();
+        let mut next_outputs = day.outputs;
         for rec in &self.last_outputs {
-            if planned.contains(&rec.model.retailer) && !trained.contains(&rec.model.retailer) {
+            if day.planned.contains(&rec.model.retailer) && !trained.contains(&rec.model.retailer) {
                 next_outputs.push(rec.clone());
             }
         }
         self.last_outputs = next_outputs;
         let report = DayReport {
             day: self.day,
-            models_trained,
-            train_makespan,
-            infer_makespan,
-            cost,
-            preemptions,
-            best,
-            recs,
-            train_stats,
-            infer_stats,
-            degraded,
-            rejected,
+            models_trained: day.models_trained,
+            train_makespan: day.train_makespan,
+            infer_makespan: day.infer_makespan,
+            cost: day.cost,
+            preemptions: day.preemptions,
+            best: day.best,
+            recs: day.recs,
+            train_stats: day.train_stats,
+            infer_stats: day.infer_stats,
+            degraded: day.degraded,
+            rejected: day.rejected,
         };
         self.day += 1;
-        Ok(report)
+        report
     }
 
     /// The model-GC rule, in its one place: every `/models/` blob that no
@@ -1054,8 +1056,8 @@ impl SigmundService {
     /// off). Marker durability is best-effort: a lost marker only makes a
     /// resumed day rewrite one identical table, and a crash mid-marker is
     /// caught at the publish phase boundary.
-    fn journal_publish_marker(&self, journal_on: bool, r: RetailerId) {
-        if !journal_on {
+    fn journal_publish_marker(&self, r: RetailerId) {
+        if !self.cfg.journal {
             return;
         }
         // xtask: allow(error-swallow) — marker loss only costs one idempotent re-publish on resume; crashes are caught at the phase boundary
@@ -1080,9 +1082,7 @@ impl SigmundService {
         (cores / self.cfg.threads.max(1)).max(1)
     }
 
-    /// Unwinds the day if the kill-point has fired: the simulated process
-    /// is dead, and the phase machinery below it (task retries, graceful
-    /// degradation) must not absorb a crash into a "successful" day.
+    /// Unwinds the day if the kill-point has fired.
     fn check_crash(&self, at: &str) -> Result<(), SigmundError> {
         if self.dfs.crashed() {
             return Err(SigmundError::Crashed(format!(
@@ -1251,12 +1251,8 @@ impl SigmundService {
             // recommendation part blobs. The re-run must start from clean
             // inputs: a leftover checkpoint would make retraining resume
             // mid-stream and diverge from the uninterrupted run.
-            for path in svc.dfs.list("/ckpt/") {
-                stale.push(path);
-            }
-            for path in svc.dfs.list("/recs_parts/") {
-                stale.push(path);
-            }
+            stale.extend(svc.dfs.list("/ckpt/"));
+            svc.sweep_part_blobs();
             // Model blobs the crashed day already wrote (or superseded
             // generations its start-of-day GC had not finished deleting)
             // are stale too: the baseline keeps exactly the referenced set
@@ -1266,9 +1262,7 @@ impl SigmundService {
             // the crash-sweep's op indexing.
             stale.extend(svc.unreferenced_models());
         } else {
-            for path in svc.dfs.list(journal::MARKER_PREFIX) {
-                stale.push(path);
-            }
+            stale.extend(svc.dfs.list(journal::MARKER_PREFIX));
         }
         for path in &stale {
             // xtask: allow(error-swallow) — recovery GC is best-effort: an undeletable blob is simply re-scanned (and re-ignored) next recovery
@@ -1329,19 +1323,12 @@ impl SigmundService {
             .dfs
             .home_of(&data::catalog_path(r))
             .unwrap_or(self.cfg.cells[0].cell);
-        let mut catalog = None;
-        for _ in 0..3 {
-            if let Ok(c) = data::load_catalog(&self.dfs, cat_cell, r) {
-                catalog = Some(c);
-                break;
-            }
-        }
-        match &catalog {
+        match data::retry_op(|| data::load_catalog(&self.dfs, cat_cell, r)) {
             // Shape checks against the live catalog when it is readable …
-            Some(c) => snapshot.validate_for(c),
+            Ok(c) => snapshot.validate_for(&c),
             // … structural checks alone when it is not (the gate judges the
             // model, not the catalog's availability).
-            None => snapshot.validate(),
+            Err(_) => snapshot.validate(),
         }
         .map_err(|_| RejectReason::InvalidSnapshot)?;
         let Some(m) = rec.metrics.as_ref() else {
@@ -1375,20 +1362,18 @@ impl SigmundService {
 
 /// Loads a retailer's published recommendations back from the DFS.
 ///
-/// Dispatches on the blob's magic: streaming mode publishes the binary
-/// codec ([`data::RECS_MAGIC`]); anything else is parsed as the legacy
-/// JSON table, so previously published generations stay readable.
+/// `/recs/r<r>` has one writer (the publish phase) and one format, the
+/// `SGRC` codec ([`data::RECS_MAGIC`]).
+///
+/// # Errors
+/// Whatever the read returns, or [`SigmundError::Corrupt`] for bytes that
+/// are not a valid `SGRC` table.
 pub fn load_recs(
     dfs: &Dfs,
     cell: sigmund_types::CellId,
     r: RetailerId,
-) -> Result<Vec<ItemRecs>, sigmund_types::SigmundError> {
-    let bytes = dfs.read(cell, &data::recs_path(r))?;
-    if bytes.starts_with(data::RECS_MAGIC) {
-        return data::decode_recs(&bytes);
-    }
-    serde_json::from_slice(&bytes)
-        .map_err(|e| sigmund_types::SigmundError::Corrupt(format!("recs: {e}")))
+) -> Result<Vec<ItemRecs>, SigmundError> {
+    data::decode_recs(&dfs.read(cell, &data::recs_path(r))?)
 }
 
 /// Convenience: look up the materialized recommendations for an item.
@@ -1567,34 +1552,178 @@ mod tests {
         }
     }
 
-    #[test]
-    fn streaming_publish_matches_materialized_tables() {
-        if serde_json::from_str::<u32>("1").is_err() {
-            eprintln!("skipping: serde_json backend is stubbed in this environment");
-            return;
+    /// Every blob under `prefix`, as `(path, bytes)`.
+    fn blobs_under(svc: &SigmundService, prefix: &str) -> Vec<(String, Vec<u8>)> {
+        svc.dfs
+            .list(prefix)
+            .into_iter()
+            .map(|p| {
+                let bytes = svc.dfs.peek(&p).unwrap().to_vec();
+                (p, bytes)
+            })
+            .collect()
+    }
+
+    /// One three-retailer day on a tracking ledger.
+    fn ledger_day(stream: bool) -> (SigmundService, DayReport) {
+        let mut svc = service();
+        svc.cfg.stream_recs = stream;
+        svc.cfg.ledger = ByteLedger::tracking();
+        for r in 0..3 {
+            let d = small_retailer(r, 400 + r as u64);
+            svc.onboard(&d.catalog, &d.events).unwrap();
         }
-        let run = |stream: bool| {
-            let mut svc = service();
-            svc.cfg.stream_recs = stream;
-            for r in 0..3 {
-                let d = small_retailer(r, 400 + r as u64);
-                svc.onboard(&d.catalog, &d.events).unwrap();
-            }
-            let report = svc.run_day().unwrap();
-            let tables: Vec<Vec<ItemRecs>> = (0..3u32)
-                .map(|r| load_recs(&svc.dfs, CellId(0), sigmund_types::RetailerId(r)).unwrap())
-                .collect();
-            (report, tables)
-        };
-        let (mat_report, mat_tables) = run(false);
-        let (st_report, st_tables) = run(true);
+        let report = svc.run_day().unwrap();
+        (svc, report)
+    }
+
+    #[test]
+    fn default_config_publishes_sgrc_and_keeps_the_same_tables_in_the_report() {
+        let (svc, report) = ledger_day(false);
+        let blobs = blobs_under(&svc, "/recs/");
+        assert_eq!(blobs.len(), 3);
+        for (path, bytes) in &blobs {
+            assert!(bytes.starts_with(data::RECS_MAGIC), "{path} is not SGRC");
+        }
+        assert_eq!(report.recs.len(), 3);
+        let mut fleet_sum = 0;
+        for (r, table) in &report.recs {
+            assert_eq!(table, &load_recs(&svc.dfs, CellId(0), *r).unwrap(), "{r}");
+            fleet_sum += data::recs_logical_bytes(table);
+        }
+        // The report keeps every table, so the ledger peaks at the fleet sum.
+        assert_eq!(svc.cfg.ledger.peak(), fleet_sum);
+        assert_eq!(svc.cfg.ledger.current(), 0, "all charges released");
+        assert!(svc.dfs.list(data::RECS_PARTS_PREFIX).is_empty());
+    }
+
+    #[test]
+    fn stream_recs_only_empties_the_report() {
+        let (kept_svc, kept) = ledger_day(false);
+        let (streamed_svc, streamed) = ledger_day(true);
+        assert!(streamed.recs.is_empty());
         assert_eq!(
-            mat_tables, st_tables,
-            "streamed tables must equal materialized tables bit-for-bit"
+            blobs_under(&streamed_svc, "/recs/"),
+            blobs_under(&kept_svc, "/recs/"),
+            "one writer, one format: the flag must not move a published byte"
         );
-        assert_eq!(mat_report.best.len(), st_report.best.len());
-        assert_eq!(mat_report.models_trained, st_report.models_trained);
-        assert_eq!(mat_report.train_makespan, st_report.train_makespan);
+        let fingerprint = |r: &DayReport| {
+            let mut r = r.clone();
+            r.recs.clear();
+            format!("{r:?}")
+        };
+        assert_eq!(fingerprint(&streamed), fingerprint(&kept));
+        // Dropping each table once it is durable is what the flag buys
+        // (`streaming_publish_day_is_bounded_and_clean` pins the bound).
+        assert!(streamed_svc.cfg.ledger.peak() < kept_svc.cfg.ledger.peak());
+    }
+
+    #[test]
+    fn load_recs_rejects_anything_but_sgrc() {
+        let dfs = Dfs::new();
+        let r = sigmund_types::RetailerId(0);
+        // A table in the JSON layout the deleted publish twin wrote.
+        let legacy = br#"[{"view_based":[[1,0.5]],"purchase_based":[]}]"#;
+        for blob in [&legacy[..], &b""[..], &b"SGR"[..]] {
+            dfs.write(CellId(0), &data::recs_path(r), blob.to_vec().into())
+                .unwrap();
+            assert!(
+                matches!(load_recs(&dfs, CellId(0), r), Err(SigmundError::Corrupt(_))),
+                "{blob:?} must be Corrupt"
+            );
+        }
+        assert!(matches!(
+            load_recs(&dfs, CellId(0), sigmund_types::RetailerId(1)),
+            Err(SigmundError::NotFound(_))
+        ));
+    }
+
+    /// A read-fault plan (rate `rate`, active from day 0) whose first rate
+    /// draw faults and whose second does not: the first DFS read of the run
+    /// fails once and its retry succeeds. Found by probing, so the test
+    /// does not depend on the hash's constants.
+    fn plan_faulting_the_first_read_once(rate: f64) -> sigmund_types::FaultPlan {
+        let probe = Dfs::new();
+        probe
+            .write(CellId(0), "/probe", bytes::Bytes::from_static(b"x"))
+            .unwrap();
+        (0..100_000u64)
+            .map(|seed| sigmund_types::FaultPlan {
+                seed,
+                read_error_rate: rate,
+                ..Default::default()
+            })
+            .find(|plan| {
+                let dfs = probe.restart(plan.clone());
+                dfs.read(CellId(0), "/probe").is_err() && dfs.read(CellId(0), "/probe").is_ok()
+            })
+            .unwrap()
+    }
+
+    #[test]
+    fn new_retailer_trains_the_day_its_catalog_read_faults_once() {
+        // Onboarding writes draw nothing (write rate 0) and the model GC
+        // lists an empty tree, so the day's first read — the plan phase
+        // loading the new retailer's catalog — is the run's first draw.
+        let mut cfg = service().cfg;
+        cfg.chaos.plan = plan_faulting_the_first_read_once(0.01);
+        let mut svc = SigmundService::new(cfg);
+        let d = small_retailer(0, 21);
+        svc.onboard(&d.catalog, &d.events).unwrap();
+        let report = svc.run_day().unwrap();
+        assert!(svc.dfs.injector().unwrap().stats().read_errors >= 1);
+        assert_eq!(report.models_trained, 1, "the retry must read the catalog");
+        assert!(report.best.contains_key(&sigmund_types::RetailerId(0)));
+    }
+
+    #[test]
+    fn new_retailer_whose_catalog_stays_unreadable_gets_tomorrows_full_grid() {
+        // Every read of day 0 fails, the plan phase's three tries included;
+        // day 1 is clean.
+        let mut cfg = service().cfg;
+        cfg.chaos.plan = sigmund_types::FaultPlan {
+            read_error_rate: 1.0,
+            until_day: 1,
+            ..Default::default()
+        };
+        let mut svc = SigmundService::new(cfg);
+        let d = small_retailer(0, 22);
+        svc.onboard(&d.catalog, &d.events).unwrap();
+        let day0 = svc.run_day().unwrap();
+        assert_eq!(day0.models_trained, 0);
+        assert_eq!(svc.new_since_last_run, vec![sigmund_types::RetailerId(0)]);
+        let day1 = svc.run_day().unwrap();
+        assert_eq!(day1.models_trained, 1, "still owed its full grid");
+        assert!(day1.best.contains_key(&sigmund_types::RetailerId(0)));
+        assert!(svc.new_since_last_run.is_empty());
+        assert!(load_recs(&svc.dfs, CellId(0), sigmund_types::RetailerId(0)).is_ok());
+    }
+
+    #[test]
+    fn part_sweep_takes_strays_the_roster_walk_missed() {
+        let mut svc = service();
+        let d = small_retailer(0, 23);
+        svc.onboard(&d.catalog, &d.events).unwrap();
+        // Scratch no split of today's roster would name: a part at an offset
+        // from another `items_per_split`, one of a retailer that is not
+        // onboarded, and a crashed writer's tmp sibling.
+        let strays = [
+            data::recs_part_path(sigmund_types::RetailerId(0), 7),
+            data::recs_part_path(sigmund_types::RetailerId(9), 0),
+            format!(
+                "{}/TMP",
+                data::recs_part_path(sigmund_types::RetailerId(0), 30)
+            ),
+        ];
+        for path in &strays {
+            svc.dfs
+                .write(CellId(0), path, bytes::Bytes::from_static(b"stale"))
+                .unwrap();
+        }
+        let report = svc.run_day().unwrap();
+        assert!(report.degraded.is_empty());
+        assert!(svc.dfs.list(data::RECS_PARTS_PREFIX).is_empty());
+        assert_eq!(report.recs[&sigmund_types::RetailerId(0)].len(), 40);
     }
 
     #[test]
@@ -1617,16 +1746,11 @@ mod tests {
             let days = [svc.run_day().unwrap(), svc.run_day().unwrap()];
             assert_eq!(days[0].models_trained, 16);
             assert!(days[0].preemptions > 0, "hazard should bite");
-            let files: Vec<(String, Vec<u8>)> = svc
-                .dfs
-                .list("/")
-                .into_iter()
-                .map(|p| {
-                    let bytes = svc.dfs.peek(&p).unwrap().to_vec();
-                    (p, bytes)
-                })
-                .collect();
-            (files, format!("{days:?}"), svc.cfg.obs.trace_json())
+            (
+                blobs_under(&svc, "/"),
+                format!("{days:?}"),
+                svc.cfg.obs.trace_json(),
+            )
         };
         assert_eq!(run(), run());
 

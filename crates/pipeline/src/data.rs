@@ -50,10 +50,31 @@ pub fn recs_path(r: RetailerId) -> String {
     format!("/recs/r{}", r.0)
 }
 
-/// DFS path of one inference split's recommendation part blob (streamed
-/// publish, DESIGN.md §12). `start` is the split's first item index.
+/// DFS prefix of the inference part blobs: scratch that lives from a
+/// split's completion to the end of the day's publish phase.
+pub const RECS_PARTS_PREFIX: &str = "/recs_parts/";
+
+/// DFS path of one inference split's recommendation part blob (DESIGN.md
+/// §12). `start` is the split's first item index.
 pub fn recs_part_path(r: RetailerId, start: u32) -> String {
-    format!("/recs_parts/r{}/p{start}", r.0)
+    format!("{RECS_PARTS_PREFIX}r{}/p{start}", r.0)
+}
+
+/// The driver-side retry budget for one DFS operation: up to three tries,
+/// because injected read/write faults and torn reads are transient. A
+/// [`SigmundError::Crashed`] propagates at once — the crash is sticky, no
+/// retry can absorb it. Returns the last error when the budget runs out.
+pub(crate) fn retry_op<T>(
+    mut op: impl FnMut() -> Result<T, SigmundError>,
+) -> Result<T, SigmundError> {
+    let mut last = op();
+    for _ in 1..3 {
+        match last {
+            Ok(_) | Err(SigmundError::Crashed(_)) => break,
+            Err(_) => last = op(),
+        }
+    }
+    last
 }
 
 /// Encodes an event log (17 bytes per event).
@@ -188,20 +209,22 @@ pub fn decode_catalog(b: &[u8]) -> Result<Catalog, SigmundError> {
 pub use sigmund_core::recs_codec::{decode_recs, encode_recs, recs_logical_bytes, RECS_MAGIC};
 
 /// Publishes a retailer's catalog and events to the DFS (the ingestion step
-/// of the daily pipeline).
+/// of the daily pipeline). Each write gets the driver retry budget, so
+/// onboarding under an active fault plan survives a transient write fault.
+///
+/// # Errors
+/// The last write error once the budget is exhausted, or
+/// [`SigmundError::Crashed`] at once.
 pub fn publish_retailer(
     dfs: &Dfs,
     cell: CellId,
     catalog: &Catalog,
     events: &[Interaction],
 ) -> Result<(), SigmundError> {
-    dfs.write(
-        cell,
-        &catalog_path(catalog.retailer),
-        encode_catalog(catalog),
-    )?;
-    dfs.write(cell, &train_path(catalog.retailer), encode_events(events))?;
-    Ok(())
+    let catalog_blob = encode_catalog(catalog);
+    retry_op(|| dfs.write(cell, &catalog_path(catalog.retailer), catalog_blob.clone()))?;
+    let events_blob = encode_events(events);
+    retry_op(|| dfs.write(cell, &train_path(catalog.retailer), events_blob.clone()))
 }
 
 /// Loads a retailer's catalog from the DFS.
@@ -296,6 +319,42 @@ mod tests {
         assert_eq!(cat2.retailer, RetailerId(7));
         let evs = load_events(&dfs, CellId(0), RetailerId(7)).unwrap();
         assert_eq!(evs.len(), 3);
+    }
+
+    #[test]
+    fn publish_retailer_rides_out_a_transient_write_fault() {
+        let tax = Taxonomy::new();
+        let catalog = Catalog::new(RetailerId(3), tax);
+        // A plan whose first write draw faults and whose second does not,
+        // found by probing so the test does not pin the hash's constants.
+        let flaky = (0..100_000u64)
+            .map(|seed| sigmund_types::FaultPlan {
+                seed,
+                write_error_rate: 0.2,
+                ..Default::default()
+            })
+            .find(|plan| {
+                let probe = Dfs::with_faults(plan.clone());
+                let blob = Bytes::from_static(b"x");
+                probe.write(CellId(0), "/a", blob.clone()).is_err()
+                    && probe.write(CellId(0), "/a", blob).is_ok()
+            })
+            .unwrap();
+        let dfs = Dfs::with_faults(flaky);
+        publish_retailer(&dfs, CellId(0), &catalog, &events()).unwrap();
+        assert!(dfs.injector().unwrap().stats().write_errors >= 1);
+        assert!(dfs.exists(&catalog_path(RetailerId(3))));
+        assert!(dfs.exists(&train_path(RetailerId(3))));
+        // A budget that runs out still surfaces the fault.
+        let dead = Dfs::with_faults(sigmund_types::FaultPlan {
+            write_error_rate: 1.0,
+            ..Default::default()
+        });
+        assert!(matches!(
+            publish_retailer(&dead, CellId(0), &catalog, &events()),
+            Err(SigmundError::Transient(_))
+        ));
+        assert_eq!(dead.injector().unwrap().stats().write_errors, 3);
     }
 
     #[test]

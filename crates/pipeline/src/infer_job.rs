@@ -21,12 +21,16 @@
 //! Inference splits are idempotent and cheap relative to training, so they
 //! are simply re-executed on pre-emption (no checkpointing).
 //!
+//! A finished split's rows leave memory at once as an `SGRC` part blob
+//! ([`data::recs_part_path`]); the publish phase stitches the parts one
+//! retailer at a time (DESIGN.md §12), so the job's resident output is one
+//! split regardless of fleet size.
+//!
 //! That in-split fan-out is this job's use of real cores, so the pipeline
 //! gives it one engine worker (`run_map_job_obs(.., 1)`): engine workers on
 //! top would exceed the thread budget `threads` was sized for, and the
-//! job's per-retailer cache and in-memory output list assume one attempt at
-//! a time. Like every task it records obs through its [`AttemptCtx`] and
-//! holds no `Obs` of its own.
+//! job's per-retailer cache assumes one attempt at a time. Like every task
+//! it records obs through its [`AttemptCtx`] and holds no `Obs` of its own.
 
 use crate::cost_model::CostModel;
 use crate::data;
@@ -35,7 +39,7 @@ use sigmund_core::prelude::*;
 use sigmund_dfs::Dfs;
 use sigmund_mapreduce::{AttemptCtx, MapStatus, MapTask};
 use sigmund_obs::ObsLog;
-use sigmund_types::{Catalog, CellId, ConfigRecord, ItemId, RetailerId};
+use sigmund_types::{Catalog, CellId, ConfigRecord, RetailerId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -92,17 +96,6 @@ struct Resident {
     state: Option<Arc<RetailerInferState>>,
 }
 
-/// Output row: materialized recommendations for one item.
-#[derive(Debug, Clone)]
-pub struct MaterializedRec {
-    /// The retailer.
-    pub retailer: RetailerId,
-    /// The item.
-    pub item: ItemId,
-    /// Both recommendation surfaces (hybrid head/tail blend).
-    pub recs: ItemRecs,
-}
-
 /// The inference job over item-range splits.
 pub struct InferenceJob<'a> {
     dfs: &'a Dfs,
@@ -116,18 +109,12 @@ pub struct InferenceJob<'a> {
     /// Scoped worker threads per map task (1 = sequential). Output is
     /// byte-identical regardless — inference is read-only.
     pub threads: usize,
-    /// Streaming sink: when set, each completed split writes its recs as a
-    /// binary part blob ([`data::recs_part_path`]) on the job's cell instead
-    /// of accumulating them in [`Self::take_outputs`]. Bounds the job's
-    /// resident output to one split regardless of fleet size (DESIGN.md §12).
-    pub persist_splits: bool,
     selector: CandidateSelector,
     /// Item count per retailer: the largest end among its splits.
     items: BTreeMap<RetailerId, u32>,
     /// Shared per-retailer state, resident from a retailer's first split
     /// until its last one is done.
     cache: Mutex<BTreeMap<RetailerId, Resident>>,
-    outputs: Mutex<Vec<MaterializedRec>>,
 }
 
 impl<'a> InferenceJob<'a> {
@@ -161,11 +148,9 @@ impl<'a> InferenceJob<'a> {
             cost,
             k: 10,
             threads: 1,
-            persist_splits: false,
             selector: CandidateSelector::default(),
             items,
             cache: Mutex::new(cache),
-            outputs: Mutex::new(Vec::new()),
         }
     }
 
@@ -178,11 +163,6 @@ impl<'a> InferenceJob<'a> {
     /// Number of splits.
     pub fn n_splits(&self) -> usize {
         self.splits.len()
-    }
-
-    /// Takes the materialized recommendations.
-    pub fn take_outputs(&self) -> Vec<MaterializedRec> {
-        std::mem::take(&mut self.outputs.lock())
     }
 
     fn state_for(
@@ -314,24 +294,21 @@ impl MapTask for InferenceJob<'_> {
             split_scored += scored;
             table.push(recs);
         }
-        if self.persist_splits {
-            // Streaming sink: the split's output leaves memory immediately as
-            // a part blob; the publish phase stitches parts per retailer. The
-            // blob lands via tmp+rename so a crash mid-write can never leave
-            // a half-written part at the final path — readers see the old
-            // blob or the new one, and orphaned `/TMP` siblings are swept by
-            // the day-end cleanup and `Dfs::scrub`. A failed write or rename
-            // is retryable like any other fault in the attempt.
-            let part = data::recs_part_path(sp.retailer, sp.start);
-            let tmp = format!("{part}/TMP");
-            if self
-                .dfs
-                .write(self.cell, &tmp, data::encode_recs(&table))
-                .is_err()
-                || self.dfs.rename(&tmp, &part).is_err()
-            {
-                return MapStatus::Preempted;
-            }
+        // The split's output leaves memory immediately as a part blob. It
+        // lands via tmp+rename so a crash mid-write can never leave a
+        // half-written part at the final path — readers see the old blob or
+        // the new one, and orphaned `/TMP` siblings go with the publish
+        // phase's part sweep. A failed write or rename is retryable like any
+        // other fault in the attempt.
+        let part = data::recs_part_path(sp.retailer, sp.start);
+        let tmp = format!("{part}/TMP");
+        if self
+            .dfs
+            .write(self.cell, &tmp, data::encode_recs(&table))
+            .is_err()
+            || self.dfs.rename(&tmp, &part).is_err()
+        {
+            return MapStatus::Preempted;
         }
         let now = ctx.used();
         let obs = ctx.obs();
@@ -339,15 +316,6 @@ impl MapTask for InferenceJob<'_> {
         obs.counter("infer.candidates_scored", split_scored);
         if now > 0.0 {
             obs.gauge("infer.candidates_per_cpu_s", now, split_scored as f64 / now);
-        }
-        if !self.persist_splits {
-            self.outputs
-                .lock()
-                .extend((sp.start..).zip(table).map(|(item, recs)| MaterializedRec {
-                    retailer: sp.retailer,
-                    item: ItemId(item),
-                    recs,
-                }));
         }
         self.split_done(sp.retailer);
         MapStatus::Done
@@ -393,6 +361,7 @@ mod tests {
     use sigmund_datagen::RetailerSpec;
     use sigmund_mapreduce::{run_map_job, run_map_job_obs, JobConfig};
     use sigmund_obs::{Level, Obs};
+    use sigmund_types::ItemId;
 
     fn cfg(rate: f64, seed: u64) -> JobConfig {
         JobConfig {
@@ -438,6 +407,27 @@ mod tests {
         (datum.catalog, outputs.into_iter().next().unwrap())
     }
 
+    /// What a finished job sank: every split's part blob decoded into
+    /// `(retailer, item, recs)` rows, in split order. A split that left no
+    /// part (skipped or abandoned) contributes nothing.
+    fn sunk_rows(dfs: &Dfs, splits: &[InferSplit]) -> Vec<(RetailerId, ItemId, ItemRecs)> {
+        let mut rows = Vec::new();
+        for sp in splits {
+            let part = data::recs_part_path(sp.retailer, sp.start);
+            let Some(bytes) = dfs.peek(&part) else {
+                continue;
+            };
+            let table = data::decode_recs(&bytes).unwrap();
+            assert_eq!(table.len(), (sp.end - sp.start) as usize, "{part}");
+            rows.extend(
+                (sp.start..)
+                    .zip(table)
+                    .map(|(item, recs)| (sp.retailer, ItemId(item), recs)),
+            );
+        }
+        rows
+    }
+
     #[test]
     fn make_splits_covers_all_items() {
         let splits = make_splits(&[(RetailerId(0), 25), (RetailerId(1), 5)], 10);
@@ -471,17 +461,19 @@ mod tests {
         let job = InferenceJob::new(&dfs, CellId(0), splits.clone(), map, CostModel::default());
         let stats = run_map_job(&job, splits.len(), &cfg(0.0, 1));
         assert_eq!(stats.preemptions, 0);
-        let outputs = job.take_outputs();
+        let outputs = sunk_rows(&dfs, &splits);
         assert_eq!(outputs.len(), catalog.len());
         // Every item covered exactly once.
-        let mut seen: Vec<u32> = outputs.iter().map(|m| m.item.0).collect();
+        let mut seen: Vec<u32> = outputs.iter().map(|(_, item, _)| item.0).collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..catalog.len() as u32).collect::<Vec<_>>());
         // Lists respect K and never self-recommend.
-        for m in &outputs {
-            assert!(m.recs.view_based.len() <= 10);
-            assert!(m.recs.view_based.iter().all(|(i, _)| *i != m.item));
+        for (_, item, recs) in &outputs {
+            assert!(recs.view_based.len() <= 10);
+            assert!(recs.view_based.iter().all(|(i, _)| i != item));
         }
+        // Parts land by rename: no `/TMP` sibling survives a clean job.
+        assert_eq!(dfs.list(data::RECS_PARTS_PREFIX).len(), splits.len());
     }
 
     #[test]
@@ -512,16 +504,16 @@ mod tests {
         // the first attempt built, and the last `Done` dropped it.
         assert_eq!(obs.metrics().unwrap().counter("infer.rep_builds"), 1);
         assert!(job.cache.lock().is_empty());
-        let outputs = job.take_outputs();
-        let mut seen: Vec<u32> = outputs.iter().map(|m| m.item.0).collect();
-        seen.sort_unstable();
-        seen.dedup();
+        // `sunk_rows` checks every part holds exactly its split's rows: a
+        // pre-empted attempt sinks nothing, and the attempt that finishes
+        // sinks the whole split.
+        let outputs = sunk_rows(&dfs, &splits);
         assert_eq!(
-            seen.len(),
             outputs.len(),
+            catalog.len(),
             "preempted attempts must not leak partial output"
         );
-        assert_eq!(outputs.len(), catalog.len());
+        assert_eq!(dfs.list(data::RECS_PARTS_PREFIX).len(), splits.len());
         assert!(stats.preemptions > 0);
     }
 
@@ -542,57 +534,15 @@ mod tests {
             );
             job.threads = threads;
             let stats = run_map_job(&job, splits.len(), &cfg(0.0, 7));
-            (job.take_outputs(), stats.makespan)
+            (sunk_rows(&dfs, &splits), stats.makespan)
         };
         let (base, base_makespan) = run_with(1);
         for threads in [2usize, 4] {
             let (outs, makespan) = run_with(threads);
-            assert_eq!(outs.len(), base.len());
-            for (a, b) in base.iter().zip(outs.iter()) {
-                assert_eq!(a.item, b.item);
-                assert_eq!(a.recs, b.recs, "thread count changed recs for {:?}", a.item);
-            }
+            assert_eq!(outs, base, "thread count changed recs");
             // Virtual-time accounting replays sequentially, so even the
             // simulated makespan is thread-count-invariant.
             assert_eq!(makespan, base_makespan);
-        }
-    }
-
-    #[test]
-    fn persisted_splits_match_in_memory_outputs() {
-        let dfs = Dfs::new();
-        let (catalog, best) = trained_retailer(&dfs, 6);
-        let splits = make_splits(&[(RetailerId(0), catalog.len())], 20);
-        let mut map = BTreeMap::new();
-        map.insert(RetailerId(0), best);
-        let base = InferenceJob::new(
-            &dfs,
-            CellId(0),
-            splits.clone(),
-            map.clone(),
-            CostModel::default(),
-        );
-        run_map_job(&base, splits.len(), &cfg(0.0, 11));
-        let in_memory = base.take_outputs();
-        let mut streaming =
-            InferenceJob::new(&dfs, CellId(0), splits.clone(), map, CostModel::default());
-        streaming.persist_splits = true;
-        run_map_job(&streaming, splits.len(), &cfg(0.0, 11));
-        assert!(
-            streaming.take_outputs().is_empty(),
-            "streaming mode must not accumulate in-memory output"
-        );
-        // Stitching the part blobs in split order reproduces the in-memory
-        // table exactly.
-        let mut stitched = Vec::new();
-        for sp in &splits {
-            let part = data::recs_part_path(sp.retailer, sp.start);
-            let bytes = dfs.read(CellId(0), &part).unwrap();
-            stitched.extend(data::decode_recs(&bytes).unwrap());
-        }
-        assert_eq!(stitched.len(), in_memory.len());
-        for (a, b) in in_memory.iter().zip(stitched.iter()) {
-            assert_eq!(&a.recs, b);
         }
     }
 
@@ -612,7 +562,7 @@ mod tests {
             CostModel::default(),
         );
         run_map_job(&job, 1, &cfg(0.0, 1));
-        assert!(job.take_outputs().is_empty());
+        assert!(dfs.list(data::RECS_PARTS_PREFIX).is_empty());
     }
 
     #[test]
@@ -679,16 +629,12 @@ mod tests {
             );
             run_map_job(&job, splits.len(), &cfg(0.0, 1));
             assert!(job.cache.lock().is_empty());
-            job.take_outputs()
+            sunk_rows(&dfs, &splits)
         };
         let both = run(&counts);
-        let apart: Vec<MaterializedRec> = counts.iter().flat_map(|c| run(&[*c])).collect();
+        let apart: Vec<_> = counts.iter().flat_map(|c| run(&[*c])).collect();
         assert_eq!(both.len(), cat0.len() + cat1.len());
-        assert_eq!(both.len(), apart.len());
-        for (a, b) in both.iter().zip(apart.iter()) {
-            assert_eq!((a.retailer, a.item), (b.retailer, b.item));
-            assert_eq!(a.recs, b.recs);
-        }
+        assert_eq!(both, apart);
     }
 
     #[test]
@@ -708,17 +654,13 @@ mod tests {
             let obs = Obs::recording(Level::Debug);
             run_map_job_obs(&job, splits.len(), &cfg(0.0, 7), "infer", &obs, 0.0, 1);
             let builds = obs.metrics().unwrap().counter("infer.rep_builds");
-            (splits.len(), builds, job.take_outputs())
+            (splits.len(), builds, sunk_rows(&dfs, &splits))
         };
         let (n_splits, builds, stitched) = run(catalog.len().div_ceil(5));
         assert_eq!(n_splits, 5);
         assert_eq!(builds, 1, "one build per retailer, not per split");
         let (n_splits, builds, whole) = run(catalog.len());
         assert_eq!((n_splits, builds), (1, 1));
-        assert_eq!(stitched.len(), whole.len());
-        for (a, b) in stitched.iter().zip(whole.iter()) {
-            assert_eq!(a.item, b.item);
-            assert_eq!(a.recs, b.recs, "split count changed recs for {:?}", a.item);
-        }
+        assert_eq!(stitched, whole, "split count changed recs");
     }
 }

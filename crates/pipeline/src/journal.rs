@@ -25,6 +25,7 @@
 //! — it emits no obs events and perturbs no seeded decision, so traces and
 //! published artifacts are unchanged (asserted in `tests/chaos.rs`).
 
+use crate::data::retry_op;
 use bytes::Bytes;
 use sigmund_dfs::Dfs;
 use sigmund_types::wire::{Reader, Writer};
@@ -320,18 +321,6 @@ pub fn write_publish_marker(
     let path = publish_marker_path(day, r);
     let blob = Bytes::from_static(JOURNAL_MAGIC);
     retry_op(|| dfs.write(cell, &path, blob.clone()))
-}
-
-fn retry_op(mut op: impl FnMut() -> Result<(), SigmundError>) -> Result<(), SigmundError> {
-    let mut last = Ok(());
-    for _ in 0..3 {
-        match op() {
-            Ok(()) => return Ok(()),
-            Err(e @ SigmundError::Crashed(_)) => return Err(e),
-            Err(e) => last = Err(e),
-        }
-    }
-    last
 }
 
 /// Packs independent driver payload sections (e.g. monitor state, serving

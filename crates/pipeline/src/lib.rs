@@ -44,7 +44,7 @@ pub use binpack::{
 pub use chaos::{CellStorm, ChaosConfig};
 pub use cost_model::CostModel;
 pub use daily::{load_recs, recs_for_item, DayReport, PipelineConfig, Recovered, SigmundService};
-pub use infer_job::{make_splits, InferSplit, InferenceJob, MaterializedRec};
+pub use infer_job::{make_splits, InferSplit, InferenceJob};
 pub use integrity::{IntegrityConfig, RejectReason};
 pub use monitor::{FleetSummary, MonitorConfig, QualityAlert, QualityMonitor};
 pub use sweep::{full_sweep, full_sweep_for, incremental_sweep, top_k_per_retailer};

@@ -779,6 +779,140 @@ fn cold_tier_spill_write_faults_pin_tables_in_memory() {
 }
 
 // ---------------------------------------------------------------------------
+// ISSUE 18: one recommendation-table path. `/recs/r<r>` has one writer — the
+// publish phase, stitching the inference splits' part blobs — whatever
+// `stream_recs` says, so the rate-fault contract is checked on both values:
+// (j) a table is published whole or not at all. A part blob the stitch cannot
+//     read within its retry budget degrades the retailer (previous generation
+//     untouched, reported in `DayReport::degraded`); it never becomes a run of
+//     silently empty rows over a good previous generation.
+
+/// Two days of a three-retailer fleet under `plan`, keeping the report's
+/// tables (`stream == false`) or not.
+struct TwoDays {
+    /// Catalog size per retailer.
+    items: Vec<usize>,
+    /// `/recs/r<r>` bytes per retailer after day 0 and after day 1.
+    day0: Vec<Vec<u8>>,
+    day1: Vec<Vec<u8>>,
+    /// Day 1's `DayReport::degraded`.
+    degraded1: Vec<RetailerId>,
+    read_faults: u64,
+}
+
+fn two_days_under(plan: FaultPlan, stream: bool) -> TwoDays {
+    let fleet = FleetSpec {
+        n_retailers: 3,
+        min_items: 25,
+        max_items: 50,
+        pareto_alpha: 1.2,
+        users_per_item: 1.0,
+        seed: 33,
+    };
+    let mut svc = SigmundService::new(PipelineConfig {
+        cells: vec![CellSpec::standard(CellId(0), 3)],
+        grid: tiny_grid(),
+        preemption: PreemptionModel { rate_per_hour: 5.0 },
+        checkpoint_interval: 0.004,
+        items_per_split: 10,
+        threads: 1,
+        seed: 7,
+        chaos: ChaosConfig {
+            plan,
+            ..ChaosConfig::disabled()
+        },
+        stream_recs: stream,
+        ..Default::default()
+    });
+    for d in fleet.generate() {
+        svc.onboard(&d.catalog, &d.events).unwrap();
+    }
+    let blobs = |svc: &SigmundService| -> Vec<Vec<u8>> {
+        svc.retailers()
+            .iter()
+            .map(|(r, _)| {
+                svc.dfs
+                    .peek(&data::recs_path(*r))
+                    .map(|b| b.to_vec())
+                    .unwrap_or_default()
+            })
+            .collect()
+    };
+    let day0_report = svc.run_day().unwrap();
+    assert_eq!(day0_report.recs.is_empty(), stream);
+    let day0 = blobs(&svc);
+    let day1_report = svc.run_day().unwrap();
+    TwoDays {
+        items: svc.retailers().iter().map(|(_, n)| *n).collect(),
+        day0,
+        day1: blobs(&svc),
+        degraded1: day1_report.degraded,
+        read_faults: svc.dfs.injector().map_or(0, |inj| inj.stats().read_errors),
+    }
+}
+
+#[test]
+fn read_faults_degrade_a_retailer_instead_of_publishing_holes() {
+    let empty = ItemRecs::default();
+    for stream in [true, false] {
+        let clean = two_days_under(FaultPlan::default(), stream);
+        assert!(clean.degraded1.is_empty());
+        let clean_tables: Vec<Vec<ItemRecs>> = clean
+            .day1
+            .iter()
+            .map(|b| data::decode_recs(b).expect("clean tables decode"))
+            .collect();
+        let (mut kept_previous, mut republished, mut read_faults) = (0u32, 0u32, 0u64);
+        for plan_seed in 0..24u64 {
+            let ctx = format!("stream_recs {stream}, plan seed {plan_seed}");
+            let run = two_days_under(
+                FaultPlan {
+                    seed: plan_seed,
+                    read_error_rate: 0.15,
+                    from_day: 1,
+                    ..FaultPlan::default()
+                },
+                stream,
+            );
+            assert_eq!(run.day0, clean.day0, "{ctx}: day 0 precedes the window");
+            read_faults += run.read_faults;
+            for (r, blob) in run.day1.iter().enumerate() {
+                // Degraded means untouched — and untouched is whole, because
+                // day 0 was. (The converse does not hold: a faulted
+                // warm-start read falls back to a cold retrain, which can
+                // republish day 0's exact bytes.)
+                if run.degraded1.contains(&RetailerId(r as u32)) {
+                    assert_eq!(*blob, run.day0[r], "{ctx}: degraded retailer {r} moved");
+                    kept_previous += 1;
+                } else {
+                    republished += 1;
+                }
+                let table = data::decode_recs(blob).expect("published tables decode");
+                assert_eq!(table.len(), run.items[r], "{ctx}: retailer {r} row count");
+                for (i, (row, clean_row)) in table.iter().zip(&clean_tables[r]).enumerate() {
+                    assert!(
+                        *row != empty || *clean_row == empty,
+                        "{ctx}: retailer {r} item {i} is a hole the clean run does not have"
+                    );
+                }
+            }
+        }
+        assert!(
+            read_faults > 0,
+            "stream_recs {stream}: the plan never fired"
+        );
+        assert!(
+            republished > 0,
+            "stream_recs {stream}: nothing was republished under faults"
+        );
+        eprintln!(
+            "stream_recs {stream}: {republished} tables republished whole, \
+             {kept_previous} kept their previous generation, {read_faults} read faults"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
 // ISSUE 10: crash–restart recovery. The `crash_at` fault class arms a seeded
 // kill-point — the k-th storage op of day d fails with
 // `SigmundError::Crashed` and the simulated process is dead until
@@ -791,7 +925,7 @@ fn cold_tier_spill_write_faults_pin_tables_in_memory() {
 // (i) recovery at a clean day boundary (no crash ever fired) is
 //     byte-invisible — restart-from-journal is indistinguishable from a
 //     process that never exited.
-// The whole stack here is serde-free (`stream_recs` binary parts, binary
+// The whole stack here is serde-free (`SGRC` parts and tables, binary
 // journal/monitor/store codecs), so these tests run even where serde_json
 // is stubbed.
 

@@ -2,9 +2,11 @@
 // target library crates only.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 //! Fleet-scale invariants (DESIGN.md §12): streamed datagen is bitwise
-//! equivalent to materialized datagen in any generation order, and the
-//! streaming daily pipeline's peak resident recommendation output is
-//! bounded by the largest single retailer — sublinear in total fleet size.
+//! equivalent to materialized datagen in any generation order, and with
+//! `stream_recs` — the report keeps no tables — the daily pipeline's peak
+//! resident recommendation output is bounded by the largest single
+//! retailer, sublinear in total fleet size. (The default config's peak, the
+//! fleet sum, is pinned in `pipeline/src/daily.rs`.)
 
 use sigmund_cluster::{CellSpec, PreemptionModel};
 use sigmund_core::prelude::*;
@@ -68,7 +70,8 @@ fn streamed_fleet_is_bitwise_identical_to_materialized() {
     }
 }
 
-/// One-config service with a tracking byte ledger in streaming-publish mode.
+/// One-config service with a tracking byte ledger whose reports keep no
+/// tables (`stream_recs`).
 fn stream_service() -> SigmundService {
     let cfg = PipelineConfig {
         grid: GridSpec {
@@ -104,7 +107,7 @@ fn run_fleet_day(n: usize) -> (SigmundService, Vec<u64>) {
     assert!(report.degraded.is_empty() && report.rejected.is_empty());
     assert!(
         report.recs.is_empty(),
-        "streaming mode must not materialize fleet tables in the report"
+        "stream_recs must not keep fleet tables in the report"
     );
     let sizes: Vec<u64> = (0..n)
         .map(|r| {
