@@ -279,6 +279,18 @@ pub mod shim {
             super::yield_point();
             *self.0.lock().unwrap_or_else(|e| e.into_inner()) = v;
         }
+
+        /// Adds to the word and returns what it held: one indivisible
+        /// read-modify-write, so one scheduling point — unlike a `load`
+        /// followed by a `store`, no other thread can get between the two
+        /// halves.
+        pub fn fetch_add(&self, v: u64, _order: Ordering) -> u64 {
+            super::yield_point();
+            let mut word = self.0.lock().unwrap_or_else(|e| e.into_inner());
+            let was = *word;
+            *word = was.wrapping_add(v);
+            was
+        }
     }
 }
 

@@ -278,11 +278,12 @@ impl FaultInjector {
     }
 }
 
-/// Tears `data` the way a half-landed write would: keep the first half,
-/// drop the rest. Decoders downstream see a short/invalid payload and
-/// surface [`sigmund_types::SigmundError::Corrupt`].
-pub(crate) fn tear(data: &Bytes) -> Bytes {
-    Bytes::from(data[..data.len() / 2].to_vec())
+/// Tears `data` the way a half-landed transfer would: keep the first half,
+/// drop the rest. The short last chunk (or the missing ones) fails the
+/// storage layer's chunk verification, which surfaces
+/// [`sigmund_types::SigmundError::Corrupt`].
+pub(crate) fn tear(data: &[u8]) -> &[u8] {
+    &data[..data.len() / 2]
 }
 
 /// Flips one bit of `data`, chosen by `entropy` modulo the payload's bit
@@ -491,9 +492,8 @@ mod tests {
 
     #[test]
     fn torn_reads_truncate_to_half() {
-        let data = Bytes::from(vec![7u8; 10]);
-        assert_eq!(tear(&data).len(), 5);
-        assert_eq!(tear(&Bytes::from(vec![1u8])).len(), 0);
-        assert_eq!(tear(&Bytes::new()).len(), 0);
+        assert_eq!(tear(&[7u8; 10]), &[7u8; 5]);
+        assert_eq!(tear(&[1u8]).len(), 0);
+        assert_eq!(tear(&[]).len(), 0);
     }
 }

@@ -27,6 +27,6 @@ pub mod store;
 pub mod tier;
 
 pub use ctr::{bucket_by_popularity, simulate_ctr, CtrBucket, CtrConfig, CtrSample};
-pub use shard::{ShardState, SHARD_RING};
+pub use shard::{Outcome, ShardCounters, ShardState, SHARD_RING};
 pub use store::{RecSurface, ServingStats, ServingStore, SharedTable, HISTORY_DEPTH, N_SHARDS};
 pub use tier::{ColdTier, ColdTierConfig, FetchResult, TierOutcome, TierSim, TierStats};

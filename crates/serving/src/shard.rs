@@ -21,9 +21,15 @@
 //! `Arc` stays alive until its last reader drops it). A reader parked inside
 //! a slot lock can stall a *publisher* on wraparound — never the reverse.
 //!
+//! Request accounting lives here too ([`ShardCounters`]): every lookup
+//! bumps one relaxed counter of its retailer's shard instead of write-locking
+//! a store-wide stats struct, and a stats read sums the shards. Counts
+//! commute, so the totals are the same at any reader count.
+//!
 //! Under `--cfg loom` the atomics swap to the model-checker shim from
 //! `sigmund_core::loom_model`, and `crates/serving/tests/loom_shard.rs`
-//! exhaustively checks reader-vs-publish-vs-rollback interleavings. The slot
+//! exhaustively checks reader-vs-publish-vs-rollback interleavings and the
+//! counters' bump-vs-sum-vs-reset ones. The slot
 //! locks need no shim: no scheduling point (shimmed atomic access) ever
 //! happens while a slot lock is held, so model threads cannot contend on
 //! them (see the test module there).
@@ -84,9 +90,92 @@ impl<T> ShardState<T> {
     }
 }
 
+/// How one lookup was answered — the four request counters of
+/// `ServingStats`, which see `ShardCounters::total` as `[u64; 4]` in this
+/// order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// Answered with a non-empty list.
+    Hit = 0,
+    /// Known retailer and item, no recommendations.
+    Empty = 1,
+    /// Unknown retailer or out-of-range item.
+    Miss = 2,
+    /// The flash read behind the answer faulted (counted *beside* one of
+    /// the other three, never instead of it).
+    ColdMiss = 3,
+}
+
+/// One shard's request counters. Every access is `Relaxed`: a counter
+/// orders nothing — no reader's answer depends on it — it only has to lose
+/// no increment, which `fetch_add` guarantees on its own. Cache-line
+/// aligned so two shards' counters never share a line.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+pub struct ShardCounters([AtomicU64; 4]);
+
+impl ShardCounters {
+    /// Counts one `outcome`.
+    pub fn bump(&self, outcome: Outcome) {
+        self.0[outcome as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The counts so far, indexed by [`Outcome`]. Not a snapshot — a bump
+    /// racing the read lands in this total or the next — but never short of
+    /// a bump that finished before it started.
+    pub fn total(&self) -> [u64; 4] {
+        [0, 1, 2, 3].map(|i| self.0[i].load(Ordering::Relaxed))
+    }
+
+    /// Zeroes the counts. A bump racing the reset is kept or dropped whole.
+    pub fn reset(&self) {
+        for c in &self.0 {
+            c.store(0, Ordering::Relaxed);
+        }
+    }
+}
+
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
+
+    #[test]
+    fn counters_count_by_outcome_and_reset() {
+        let c = ShardCounters::default();
+        assert_eq!(std::mem::align_of::<ShardCounters>(), 64);
+        for (outcome, times) in [
+            (Outcome::Hit, 3),
+            (Outcome::Empty, 2),
+            (Outcome::Miss, 1),
+            (Outcome::ColdMiss, 4),
+        ] {
+            for _ in 0..times {
+                c.bump(outcome);
+            }
+        }
+        assert_eq!(c.total(), [3, 2, 1, 4]);
+        c.reset();
+        assert_eq!(c.total(), [0; 4]);
+    }
+
+    #[test]
+    fn concurrent_bumps_are_never_lost() {
+        let c = Arc::new(ShardCounters::default());
+        let bumpers: Vec<_> = (0..4)
+            .map(|_| {
+                let c = Arc::clone(&c);
+                std::thread::spawn(move || {
+                    for _ in 0..10_000 {
+                        c.bump(Outcome::Hit);
+                    }
+                })
+            })
+            .collect();
+        for b in bumpers {
+            b.join().unwrap();
+        }
+        assert_eq!(c.total(), [40_000, 0, 0, 0]);
+    }
 
     #[test]
     fn publish_and_load_round_trip() {

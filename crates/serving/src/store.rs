@@ -10,13 +10,17 @@
 //! `Arc`s through a lock-free [`ShardState`] — readers never block on a
 //! publish. The control plane (generation counter, the [`HISTORY_DEPTH`]-deep
 //! rollback ring, truthful-lag queries) lives behind one meta lock that only
-//! publishers and operators touch; the query path never takes it. With a
-//! [`ColdTierConfig`] attached, published tables spill to checksummed `SGRC`
-//! flash blobs and lookups go through the admission-controlled hot cache in
-//! [`crate::tier`] — the default [`ColdTierConfig::disabled`] keeps every
-//! table in memory, byte-identical to the untired store.
+//! publishers and operators touch; the query path never takes it, and takes
+//! no store-wide lock of its own either: a lookup's outcome is one relaxed
+//! bump of its shard's [`ShardCounters`], which [`ServingStore::stats`]
+//! sums. With a [`ColdTierConfig`] attached, published tables spill to
+//! checksummed `SGRC` flash blobs and lookups go through the
+//! admission-controlled hot cache in [`crate::tier`] — one record off flash
+//! for a retailer that stays cold — while the default
+//! [`ColdTierConfig::disabled`] keeps every table in memory, byte-identical
+//! to the untired store.
 
-use crate::shard::ShardState;
+use crate::shard::{Outcome, ShardCounters, ShardState};
 use crate::tier::{ColdTier, ColdTierConfig, FetchResult, TierStats};
 use parking_lot::{Mutex, RwLock};
 use sigmund_core::inference::{ItemRecs, RecList};
@@ -67,6 +71,24 @@ pub enum RecSurface {
     PurchaseBased,
 }
 
+impl RecSurface {
+    /// This surface's list of one item's recommendations.
+    fn of(self, recs: &ItemRecs) -> &RecList {
+        match self {
+            RecSurface::ViewBased => &recs.view_based,
+            RecSurface::PurchaseBased => &recs.purchase_based,
+        }
+    }
+
+    /// [`RecSurface::of`], by value.
+    fn take(self, recs: ItemRecs) -> RecList {
+        match self {
+            RecSurface::ViewBased => recs.view_based,
+            RecSurface::PurchaseBased => recs.purchase_based,
+        }
+    }
+}
+
 /// Where a retailer's table currently is.
 #[derive(Debug, Clone)]
 enum TableRef {
@@ -78,6 +100,9 @@ enum TableRef {
     Cold {
         /// The generation whose spill holds this table.
         generation: u64,
+        /// Rows in the spilled table: an out-of-catalog probe is answered
+        /// from here, without a flash read.
+        n_items: usize,
     },
 }
 
@@ -193,8 +218,9 @@ impl ServingStats {
 #[derive(Debug)]
 pub struct ServingStore {
     shards: Vec<ShardState<Snapshot>>,
+    /// Request counters, one set per shard (see [`ServingStore::stats`]).
+    counters: Vec<ShardCounters>,
     meta: RwLock<StoreMeta>,
-    stats: RwLock<ServingStats>,
     /// Streaming health bus: publishes, rollbacks and lag snapshots are
     /// streamed here by the `*_obs`/`observe` methods (which carry virtual
     /// timestamps). Disabled by default — every publish is then a no-op.
@@ -217,8 +243,8 @@ impl ServingStore {
             shards: (0..N_SHARDS)
                 .map(|_| ShardState::new(Arc::new(Snapshot::default())))
                 .collect(),
+            counters: (0..N_SHARDS).map(|_| ShardCounters::default()).collect(),
             meta: RwLock::new(StoreMeta::default()),
-            stats: RwLock::new(ServingStats::default()),
             bus,
             tier,
             load_window: Mutex::new((ServingStats::default(), TierStats::default())),
@@ -290,7 +316,10 @@ impl ServingStore {
                     // spill pins the table in memory instead (counted by
                     // the tier, no data loss).
                     Some(tier) => match tier.spill(r, generation, &table) {
-                        Ok(()) => TableRef::Cold { generation },
+                        Ok(()) => TableRef::Cold {
+                            generation,
+                            n_items: table.len(),
+                        },
                         Err(_) => TableRef::Hot(table),
                     },
                     None => TableRef::Hot(table),
@@ -687,52 +716,44 @@ impl ServingStore {
 
     /// Direct item lookup.
     pub fn lookup(&self, retailer: RetailerId, item: ItemId, surface: RecSurface) -> RecList {
-        let snap = self.shards[shard_of(retailer)].load();
-        let Some(slot) = snap.slot(local_of(retailer)) else {
-            self.stats.write().misses += 1;
-            return RecList::new();
-        };
-        let table: Arc<Vec<ItemRecs>> = match &slot.table {
-            TableRef::Hot(t) => Arc::clone(t),
-            TableRef::Cold { generation } => {
-                let Some(tier) = &self.tier else {
-                    // Unreachable by construction (cold markers are only
-                    // written with a tier attached); degrade to a counted
-                    // miss rather than panic on the query path.
-                    let mut s = self.stats.write();
-                    s.misses += 1;
-                    s.cold_misses += 1;
-                    return RecList::new();
-                };
-                match tier.fetch(retailer, *generation) {
-                    FetchResult::Table(t) => t,
-                    FetchResult::Degraded(t) => {
-                        self.stats.write().cold_misses += 1;
-                        t
-                    }
-                    FetchResult::Miss => {
-                        let mut s = self.stats.write();
-                        s.misses += 1;
-                        s.cold_misses += 1;
-                        return RecList::new();
+        let shard = shard_of(retailer);
+        let counters = &self.counters[shard];
+        let snap = self.shards[shard].load();
+        let answer = snap.slot(local_of(retailer)).and_then(|slot| {
+            let in_table = |t: &[ItemRecs]| t.get(item.index()).map(|r| surface.of(r).clone());
+            match &slot.table {
+                TableRef::Hot(t) => in_table(t),
+                TableRef::Cold {
+                    generation,
+                    n_items,
+                } => {
+                    // `None` is unreachable by construction (cold markers
+                    // are only written with a tier attached); degrade to a
+                    // counted miss rather than panic on the query path.
+                    let fetched = self.tier.as_ref().map_or(FetchResult::Miss, |tier| {
+                        tier.fetch_item(retailer, *generation, item.index(), *n_items)
+                    });
+                    match fetched {
+                        FetchResult::Table(t) => in_table(&t),
+                        FetchResult::Record(recs) => recs.map(|r| surface.take(r)),
+                        FetchResult::Degraded(t) => {
+                            counters.bump(Outcome::ColdMiss);
+                            in_table(&t)
+                        }
+                        FetchResult::Miss => {
+                            counters.bump(Outcome::ColdMiss);
+                            None
+                        }
                     }
                 }
             }
-        };
-        let Some(recs) = table.get(item.index()) else {
-            self.stats.write().misses += 1;
-            return RecList::new();
-        };
-        let out = match surface {
-            RecSurface::ViewBased => recs.view_based.clone(),
-            RecSurface::PurchaseBased => recs.purchase_based.clone(),
-        };
-        if out.is_empty() {
-            self.stats.write().empties += 1;
-        } else {
-            self.stats.write().hits += 1;
-        }
-        out
+        });
+        counters.bump(match &answer {
+            None => Outcome::Miss,
+            Some(list) if list.is_empty() => Outcome::Empty,
+            Some(_) => Outcome::Hit,
+        });
+        answer.unwrap_or_default()
     }
 
     /// Number of retailers currently served.
@@ -741,9 +762,25 @@ impl ServingStore {
         self.shards.iter().map(|s| s.load().served).sum()
     }
 
-    /// Request counters since construction (or the last [`ServingStore::reset_stats`]).
+    /// Request counters since construction (or the last
+    /// [`ServingStore::reset_stats`]): the sum over the shards' counters.
+    /// Sums commute, so the totals do not depend on how many readers there
+    /// were or how they interleaved.
     pub fn stats(&self) -> ServingStats {
-        *self.stats.read()
+        let mut sum = [0u64; 4];
+        for shard in &self.counters {
+            for (s, n) in sum.iter_mut().zip(shard.total()) {
+                *s += n;
+            }
+        }
+        // In `Outcome`'s order.
+        let [hits, empties, misses, cold_misses] = sum;
+        ServingStats {
+            hits,
+            empties,
+            misses,
+            cold_misses,
+        }
     }
 
     /// Cold-tier traffic counters, `None` when no tier is attached.
@@ -753,7 +790,7 @@ impl ServingStore {
 
     /// Zeroes the request counters (e.g. at a metrics-scrape boundary).
     pub fn reset_stats(&self) {
-        *self.stats.write() = ServingStats::default();
+        self.counters.iter().for_each(ShardCounters::reset);
     }
 }
 
@@ -1228,29 +1265,27 @@ mod tests {
 
     #[test]
     fn concurrent_reads_during_publish() {
-        use std::sync::atomic::{AtomicBool, Ordering};
+        // The reader runs a fixed read budget rather than racing a stop
+        // flag (see `shard.rs::concurrent_readers_never_see_a_torn_snapshot`
+        // for why): on a loaded 2-core box a flag-based reader may never be
+        // scheduled before the publisher finishes.
         let store = Arc::new(ServingStore::new());
         publish_one(&store, 0, vec![recs(&[1], &[])]);
-        let stop = Arc::new(AtomicBool::new(false));
         let reader = {
             let store = Arc::clone(&store);
-            let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                let mut reads = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                for _ in 0..20_000 {
                     let v = store.lookup(RetailerId(0), ItemId(0), RecSurface::ViewBased);
                     // Always a complete list, never torn.
                     assert_eq!(v.len(), 1);
-                    reads += 1;
                 }
-                reads
             })
         };
         for i in 0..100 {
             publish_one(&store, 0, vec![recs(&[i + 1], &[])]);
         }
-        stop.store(true, Ordering::Relaxed);
-        assert!(reader.join().unwrap() > 0);
+        reader.join().unwrap();
         assert_eq!(store.generation(), 101);
+        assert_eq!(store.stats().hits, 20_000);
     }
 }

@@ -17,18 +17,40 @@
 //! tests and `bench_serve`'s latency model replay the very same machine, so
 //! what is tested and what is benchmarked is what serves.
 //!
+//! A cold-slot lookup advances the policy exactly once and then goes one of
+//! three ways ([`ColdTier::fetch_item`]):
+//!
+//! * `Hit` on a current cached table — answered from memory;
+//! * `Fetch` (the retailer stays cold) — **one record** comes off flash: a
+//!   ranged read of the item's index entry, a ranged read of the record it
+//!   points at, a one-record decode. The DFS verifies the chunks those two
+//!   ranges touch, so the cost is the record's, not the table's — and an
+//!   item past the table's end is answered from the item count the store
+//!   keeps beside its cold marker, with no read at all;
+//! * `Admit`, or resident with a stale copy — the whole table is read,
+//!   decoded and cached, as every flash lookup used to be.
+//!
+//! The mutex covers the policy step and the cache map, nothing else: no DFS
+//! read, no decode and no table drop happens under it. An admitted table is
+//! installed — and its victim's dropped — under a second, short hold once
+//! it has loaded, and only if the policy still has the retailer resident; a
+//! republish racing the read is caught by the entry's generation stamp on
+//! the next access.
+//!
 //! Fault posture (the chaos scenario in `tests/chaos.rs`): a `Transient` or
-//! `Corrupt` DFS read degrades to the last-good cached table when one
-//! exists, else to an empty answer — both *counted* via
+//! `Corrupt` DFS read — whole or ranged — degrades to the last-good cached
+//! table when one exists, else to an empty answer — both *counted* via
 //! [`TierStats::cold_misses`], never a panic and never a silent empty. A
 //! faulted spill *write* keeps the table pinned in memory instead (no data
 //! loss, counted via [`TierStats::spill_failures`]).
 
 use parking_lot::Mutex;
 use sigmund_core::inference::ItemRecs;
-use sigmund_core::recs_codec::{decode_recs, encode_recs};
+use sigmund_core::recs_codec::{
+    decode_record, decode_recs, encode_recs, index_entry_span, record_span,
+};
 use sigmund_dfs::Dfs;
-use sigmund_types::{splitmix64, CellId, RetailerId};
+use sigmund_types::{splitmix64, CellId, RetailerId, SigmundError};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -94,21 +116,35 @@ pub enum TierOutcome {
     },
 }
 
+/// What the policy remembers about one retailer.
+#[derive(Debug, Clone, Copy, Default)]
+struct Seen {
+    /// Lifetime accesses (resident and cold alike) — the admission
+    /// frequency signal.
+    count: u64,
+    /// Last-access tick while admitted.
+    tick: Option<u64>,
+}
+
 /// The pure admission/eviction state machine (see the module doc). All state
-/// lives in ordered maps keyed by retailer index, advanced only by
-/// [`TierSim::access`] — replaying the same access sequence against the same
-/// config always lands in the same state ([`TierSim::resident`]).
+/// lives in ordered maps, advanced only by [`TierSim::access`] — replaying
+/// the same access sequence against the same config always lands in the
+/// same state ([`TierSim::resident`]).
 #[derive(Debug, Clone)]
 pub struct TierSim {
     cfg: ColdTierConfig,
     /// Logical access clock; every access gets a unique tick, so LRU victim
     /// selection never ties.
     clock: u64,
-    /// Admitted retailers → last-access tick.
-    resident: BTreeMap<RetailerId, u64>,
-    /// Lifetime access counts (resident and cold alike) — the admission
-    /// frequency signal.
-    counts: BTreeMap<RetailerId, u64>,
+    seen: BTreeMap<RetailerId, Seen>,
+    /// The admitted retailers, each filed under the tick it had when it was
+    /// admitted or last came up as a victim candidate — at most its true
+    /// tick. A hit only stamps `seen` (one map operation; refiling here on
+    /// every hit was measured at +29 % on the hot lookup's median);
+    /// [`TierSim::lru`] refiles the front until it is filed truthfully, so
+    /// the victim is a first key rather than a scan of every resident,
+    /// which cost more than all the rest of a one-record flash lookup.
+    by_tick: BTreeMap<u64, RetailerId>,
 }
 
 impl TierSim {
@@ -117,61 +153,87 @@ impl TierSim {
         Self {
             cfg,
             clock: 0,
-            resident: BTreeMap::new(),
-            counts: BTreeMap::new(),
+            seen: BTreeMap::new(),
+            by_tick: BTreeMap::new(),
         }
     }
 
     /// Advances the machine by one access and returns the policy decision.
     pub fn access(&mut self, retailer: RetailerId) -> TierOutcome {
         self.clock += 1;
-        let count = self.counts.entry(retailer).or_insert(0);
-        *count += 1;
-        let count = *count;
-        if self.resident.contains_key(&retailer) {
-            self.resident.insert(retailer, self.clock);
+        let now = self.clock;
+        let seen = self.seen.entry(retailer).or_default();
+        seen.count += 1;
+        let count = seen.count;
+        if seen.tick.is_some() {
+            seen.tick = Some(now);
             return TierOutcome::Hit;
         }
         if self.cfg.hot_capacity == 0 || count < self.cfg.admission_threshold {
             return TierOutcome::Fetch;
         }
-        if self.resident.len() < self.cfg.hot_capacity {
-            self.resident.insert(retailer, self.clock);
-            return TierOutcome::Admit { evicted: None };
-        }
-        // Full: contest the LRU victim on access frequency. The seed-salted
-        // hash breaks exact-count ties so the whole trajectory stays a pure
-        // function of (seed, access sequence).
-        let (victim, _) = self
-            .resident
-            .iter()
-            .min_by_key(|(_, &tick)| tick)
-            .map(|(&r, &t)| (r, t))
-            .unwrap_or((retailer, 0));
-        let victim_count = self.counts.get(&victim).copied().unwrap_or(0);
-        let wins = match count.cmp(&victim_count) {
-            std::cmp::Ordering::Greater => true,
-            std::cmp::Ordering::Less => false,
-            std::cmp::Ordering::Equal => {
-                splitmix64(self.cfg.seed ^ u64::from(retailer.0))
-                    > splitmix64(self.cfg.seed ^ u64::from(victim.0))
+        let mut evicted = None;
+        if self.by_tick.len() >= self.cfg.hot_capacity {
+            // Full: contest the LRU victim on access frequency. The
+            // seed-salted hash breaks exact-count ties so the whole
+            // trajectory stays a pure function of (seed, access sequence).
+            let Some(victim) = self.lru() else {
+                return TierOutcome::Fetch;
+            };
+            let victim_count = self.seen.get(&victim).map_or(0, |s| s.count);
+            let wins = match count.cmp(&victim_count) {
+                std::cmp::Ordering::Greater => true,
+                std::cmp::Ordering::Less => false,
+                std::cmp::Ordering::Equal => {
+                    splitmix64(self.cfg.seed ^ u64::from(retailer.0))
+                        > splitmix64(self.cfg.seed ^ u64::from(victim.0))
+                }
+            };
+            if !wins {
+                return TierOutcome::Fetch;
             }
-        };
-        if wins {
-            self.resident.remove(&victim);
-            self.resident.insert(retailer, self.clock);
-            TierOutcome::Admit {
-                evicted: Some(victim),
+            self.by_tick.pop_first();
+            if let Some(seen) = self.seen.get_mut(&victim) {
+                seen.tick = None;
             }
-        } else {
-            TierOutcome::Fetch
+            evicted = Some(victim);
         }
+        self.by_tick.insert(now, retailer);
+        if let Some(seen) = self.seen.get_mut(&retailer) {
+            seen.tick = Some(now);
+        }
+        TierOutcome::Admit { evicted }
+    }
+
+    /// The least recently used resident, left as `by_tick`'s first entry.
+    /// An entry filed under an older tick than its retailer's true one is
+    /// moved to the true one; a truthfully filed front is older than every
+    /// entry behind it, whose true ticks are no older than their keys. Each
+    /// hit is refiled at most once, so the work is amortized O(log n) per
+    /// access.
+    fn lru(&mut self) -> Option<RetailerId> {
+        loop {
+            let (&filed, &retailer) = self.by_tick.first_key_value()?;
+            let tick = self.seen.get(&retailer)?.tick?;
+            if tick == filed {
+                return Some(retailer);
+            }
+            self.by_tick.pop_first();
+            self.by_tick.insert(tick, retailer);
+        }
+    }
+
+    /// True while `retailer` is admitted.
+    pub fn is_resident(&self, retailer: RetailerId) -> bool {
+        self.seen.get(&retailer).is_some_and(|s| s.tick.is_some())
     }
 
     /// The admitted retailers, in id order — the cache-contents fingerprint
     /// the property tests compare.
     pub fn resident(&self) -> Vec<RetailerId> {
-        self.resident.keys().copied().collect()
+        let mut out: Vec<RetailerId> = self.by_tick.values().copied().collect();
+        out.sort_unstable();
+        out
     }
 }
 
@@ -183,13 +245,16 @@ impl TierSim {
 pub struct TierStats {
     /// Lookups answered from the hot cache.
     pub hot_hits: u64,
-    /// Lookups that read a blob from flash.
+    /// Lookups the hot cache could not answer, resolved cleanly on the flash
+    /// path: one record read, a whole table read on admission, or — for an
+    /// item past the table's end — no read at all.
     pub fetches: u64,
     /// Retailers admitted into the hot cache.
     pub admissions: u64,
     /// Retailers evicted from the hot cache.
     pub evictions: u64,
     /// Flash reads that faulted or failed to decode (served degraded).
+    /// `hot_hits + fetches + cold_misses` counts cold-slot lookups.
     pub cold_misses: u64,
     /// Spill writes that faulted (table kept pinned in memory instead).
     pub spill_failures: u64,
@@ -212,13 +277,16 @@ pub fn cold_path(generation: u64, retailer: RetailerId) -> String {
     format!("/serve_cold/g{generation}/r{}", retailer.0)
 }
 
-/// How a cold-slot lookup resolved (see [`ColdTier::fetch`]). The store maps
-/// `Degraded`/`Miss` onto its `cold_misses` counter so a faulted flash read
-/// is always *visible* — never a silent empty answer.
+/// How a cold-slot lookup resolved (see [`ColdTier::fetch_item`]). The
+/// store maps `Degraded`/`Miss` onto its `cold_misses` counter so a faulted
+/// flash read is always *visible* — never a silent empty answer.
 #[derive(Debug, Clone)]
 pub enum FetchResult {
     /// A clean answer, from the hot cache or a successful flash read.
     Table(Arc<Vec<ItemRecs>>),
+    /// A clean answer for one item of a retailer that stays cold: the one
+    /// record read off flash, or `None` for an item past the table's end.
+    Record(Option<ItemRecs>),
     /// The flash read faulted; this is the last-good cached table.
     Degraded(Arc<Vec<ItemRecs>>),
     /// The flash read faulted and nothing usable is cached.
@@ -227,7 +295,7 @@ pub enum FetchResult {
 
 /// One cached decoded table, stamped with the generation it was spilled at
 /// so a republish invalidates it lazily on the next access.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct CacheEntry {
     generation: u64,
     table: Arc<Vec<ItemRecs>>,
@@ -239,13 +307,28 @@ struct CacheEntry {
 /// `HISTORY_DEPTH + 1` spills — older blobs are unreachable and deleted.
 const SPILL_RETENTION: usize = crate::HISTORY_DEPTH + 1;
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct TierState {
-    sim: Option<TierSim>,
+    sim: TierSim,
     cache: BTreeMap<RetailerId, CacheEntry>,
     /// Per-retailer spill generations still on flash, oldest first.
     spilled: BTreeMap<RetailerId, VecDeque<u64>>,
     stats: TierStats,
+}
+
+/// What the policy step decided for one cold-slot lookup.
+enum Step {
+    /// Resident and current: the cached table.
+    Hot(Arc<Vec<ItemRecs>>),
+    /// Go to flash.
+    Flash {
+        /// The policy's verdict: `Fetch` leaves the retailer cold, so one
+        /// record is all the lookup needs; `Admit`, or a `Hit` whose cached
+        /// copy is stale or missing, wants the whole table read and cached.
+        outcome: TierOutcome,
+        /// Whatever copy the cache holds, to degrade to if the read faults.
+        last_good: Option<Arc<Vec<ItemRecs>>>,
+    },
 }
 
 /// The live flash tier: spills published tables to checksummed `SGRC` blobs
@@ -266,8 +349,10 @@ impl ColdTier {
             dfs,
             cell,
             state: Mutex::new(TierState {
-                sim: Some(TierSim::new(cfg)),
-                ..TierState::default()
+                sim: TierSim::new(cfg),
+                cache: BTreeMap::new(),
+                spilled: BTreeMap::new(),
+                stats: TierStats::default(),
             }),
         }
     }
@@ -286,98 +371,173 @@ impl ColdTier {
         retailer: RetailerId,
         generation: u64,
         table: &[ItemRecs],
-    ) -> Result<(), sigmund_types::SigmundError> {
+    ) -> Result<(), SigmundError> {
         let bytes = encode_recs(table);
-        match self
+        if let Err(e) = self
             .dfs
             .write(self.cell, &cold_path(generation, retailer), bytes)
         {
-            Ok(()) => {
-                let mut st = self.state.lock();
-                let gens = st.spilled.entry(retailer).or_default();
-                gens.push_back(generation);
-                let mut trimmed = Vec::new();
-                while gens.len() > SPILL_RETENTION {
-                    if let Some(old) = gens.pop_front() {
-                        trimmed.push(old);
-                    }
-                }
-                for old in trimmed {
-                    // Best-effort: a faulted delete leaves a dead blob
-                    // behind, which only costs flash space.
-                    if self.dfs.delete(&cold_path(old, retailer)).is_err() {
-                        st.stats.spill_failures += 1;
-                    }
-                }
-                Ok(())
+            self.state.lock().stats.spill_failures += 1;
+            return Err(e);
+        }
+        let trimmed: Vec<u64> = {
+            let mut st = self.state.lock();
+            let gens = st.spilled.entry(retailer).or_default();
+            gens.push_back(generation);
+            let excess = gens.len().saturating_sub(SPILL_RETENTION);
+            gens.drain(..excess).collect()
+        };
+        // Best-effort: a faulted delete leaves a dead blob behind, which
+        // only costs flash space.
+        let failed = trimmed
+            .into_iter()
+            .filter(|&old| self.dfs.delete(&cold_path(old, retailer)).is_err())
+            .count();
+        if failed > 0 {
+            self.state.lock().stats.spill_failures += failed as u64;
+        }
+        Ok(())
+    }
+
+    /// The policy step — the only thing a lookup does under the mutex:
+    /// advance the [`TierSim`] once and decide where the answer comes from.
+    /// A lookup sent to flash is counted a fetch here; [`ColdTier::degrade`]
+    /// moves it to `cold_misses` if the read then faults.
+    fn step(&self, retailer: RetailerId, generation: u64) -> Step {
+        let mut st = self.state.lock();
+        let outcome = st.sim.access(retailer);
+        match st.cache.get(&retailer) {
+            Some(e) if e.generation == generation && outcome == TierOutcome::Hit => {
+                let table = Arc::clone(&e.table);
+                st.stats.hot_hits += 1;
+                Step::Hot(table)
             }
-            Err(e) => {
-                self.state.lock().stats.spill_failures += 1;
-                Err(e)
+            // Cache absent, or stale (republished since it was decoded).
+            cached => {
+                let last_good = cached.map(|e| Arc::clone(&e.table));
+                st.stats.fetches += 1;
+                Step::Flash { outcome, last_good }
             }
         }
     }
 
-    /// Resolves a cold slot: hot cache first, else a flash read driven by
-    /// the admission policy.
-    pub fn fetch(&self, retailer: RetailerId, generation: u64) -> FetchResult {
-        let mut st = self.state.lock();
-        let mut sim = st.sim.take().unwrap_or_else(|| TierSim::new(self.cfg));
-        let outcome = sim.access(retailer);
-        st.sim = Some(sim);
-        let cached = st.cache.get(&retailer).cloned();
-        if let Some(entry) = &cached {
-            if entry.generation == generation && matches!(outcome, TierOutcome::Hit) {
-                st.stats.hot_hits += 1;
-                return FetchResult::Table(Arc::clone(&entry.table));
-            }
-        }
-        // Cache absent or stale (republished since it was decoded): fetch
-        // the generation-stamped blob.
+    /// Reads and decodes the whole generation-stamped blob and, unless the
+    /// retailer stays cold (`Fetch`), caches it: an `Admit`'s victim leaves
+    /// the cache only now that its replacement has actually loaded — under a
+    /// flash outage the tier keeps the tables it has — and the table goes in
+    /// unless the policy evicted the retailer again while the read was in
+    /// flight. Two readers on either side of a republish may install in
+    /// either order; the generation stamp makes the loser's next access a
+    /// refetch, not a wrong answer.
+    fn load_table(
+        &self,
+        retailer: RetailerId,
+        generation: u64,
+        outcome: TierOutcome,
+        last_good: Option<Arc<Vec<ItemRecs>>>,
+    ) -> FetchResult {
         let fetched = self
             .dfs
             .read(self.cell, &cold_path(generation, retailer))
-            .ok()
-            .and_then(|bytes| decode_recs(&bytes).ok().map(Arc::new));
-        match fetched {
-            Some(table) => {
-                st.stats.fetches += 1;
-                let admit = match outcome {
-                    TierOutcome::Hit => {
-                        // Resident but stale: refresh the cached copy.
-                        true
-                    }
-                    TierOutcome::Admit { evicted } => {
-                        st.stats.admissions += 1;
-                        if let Some(v) = evicted {
-                            st.stats.evictions += 1;
-                            // Dropping the map entry never frees the table
-                            // under a reader: they hold their own `Arc`.
-                            st.cache.remove(&v);
-                        }
-                        true
-                    }
-                    TierOutcome::Fetch => false,
-                };
-                if admit {
-                    st.cache.insert(
-                        retailer,
-                        CacheEntry {
-                            generation,
-                            table: Arc::clone(&table),
-                        },
-                    );
+            .and_then(|bytes| decode_recs(&bytes));
+        let Ok(table) = fetched.map(Arc::new) else {
+            return self.degrade(last_good);
+        };
+        if outcome != TierOutcome::Fetch {
+            let entry = CacheEntry {
+                generation,
+                table: Arc::clone(&table),
+            };
+            let mut st = self.state.lock();
+            let mut evicted_entry = None;
+            if let TierOutcome::Admit { evicted } = outcome {
+                st.stats.admissions += 1;
+                if let Some(victim) = evicted {
+                    st.stats.evictions += 1;
+                    evicted_entry = st.cache.remove(&victim);
                 }
-                FetchResult::Table(table)
             }
-            None => {
-                // Transient/Corrupt flash read (or a blob already trimmed):
-                // degrade to the last-good decoded table when one exists.
-                st.stats.cold_misses += 1;
-                match cached {
-                    Some(e) => FetchResult::Degraded(e.table),
-                    None => FetchResult::Miss,
+            let replaced = if st.sim.is_resident(retailer) {
+                st.cache.insert(retailer, entry)
+            } else {
+                None
+            };
+            drop(st);
+            // Dropping a map entry never frees a table under a reader —
+            // they hold their own `Arc` — and if these were the last ones,
+            // the tables are freed here, outside the mutex.
+            drop((evicted_entry, replaced));
+        }
+        FetchResult::Table(table)
+    }
+
+    /// Two ranged reads and a one-record decode: the index entry says where
+    /// the record is, the record is all that is decoded.
+    fn read_record(
+        &self,
+        retailer: RetailerId,
+        generation: u64,
+        item: usize,
+    ) -> Result<ItemRecs, SigmundError> {
+        let path = cold_path(generation, retailer);
+        let (at, len) = index_entry_span(item)
+            .ok_or_else(|| SigmundError::Corrupt(format!("{path}: item {item} overflows")))?;
+        let entry = self.dfs.read_range(self.cell, &path, at, len)?;
+        let (at, len) = record_span(&entry)?;
+        decode_record(&self.dfs.read_range(self.cell, &path, at, len)?)
+    }
+
+    /// A faulted flash read (or a blob already trimmed): the lookup counted
+    /// as a fetch by [`ColdTier::step`] is a cold miss after all, served
+    /// from the last-good decoded table when one exists.
+    fn degrade(&self, last_good: Option<Arc<Vec<ItemRecs>>>) -> FetchResult {
+        {
+            let mut st = self.state.lock();
+            st.stats.fetches -= 1;
+            st.stats.cold_misses += 1;
+        }
+        last_good.map_or(FetchResult::Miss, FetchResult::Degraded)
+    }
+
+    /// Resolves a cold slot to its whole table: hot cache first, else a
+    /// flash read of the blob, cached if the admission policy says so. Never
+    /// answers [`FetchResult::Record`].
+    pub fn fetch(&self, retailer: RetailerId, generation: u64) -> FetchResult {
+        match self.step(retailer, generation) {
+            Step::Hot(table) => FetchResult::Table(table),
+            Step::Flash { outcome, last_good } => {
+                self.load_table(retailer, generation, outcome, last_good)
+            }
+        }
+    }
+
+    /// Resolves one item of a cold slot whose table has `n_items` rows (see
+    /// the module doc for the three ways): like [`ColdTier::fetch`], except
+    /// that a retailer the policy leaves cold costs one record, not one
+    /// table.
+    pub fn fetch_item(
+        &self,
+        retailer: RetailerId,
+        generation: u64,
+        item: usize,
+        n_items: usize,
+    ) -> FetchResult {
+        match self.step(retailer, generation) {
+            Step::Hot(table) => FetchResult::Table(table),
+            Step::Flash {
+                outcome: TierOutcome::Fetch,
+                last_good,
+            } => {
+                if item >= n_items {
+                    return FetchResult::Record(None);
                 }
+                match self.read_record(retailer, generation, item) {
+                    Ok(recs) => FetchResult::Record(Some(recs)),
+                    Err(_) => self.degrade(last_good),
+                }
+            }
+            Step::Flash { outcome, last_good } => {
+                self.load_table(retailer, generation, outcome, last_good)
             }
         }
     }
@@ -389,18 +549,14 @@ impl ColdTier {
 
     /// The retailers currently resident in the hot cache, in id order.
     pub fn resident(&self) -> Vec<RetailerId> {
-        self.state
-            .lock()
-            .sim
-            .as_ref()
-            .map(TierSim::resident)
-            .unwrap_or_default()
+        self.state.lock().sim.resident()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sigmund_types::ItemId;
 
     fn sim(capacity: usize, threshold: u64, seed: u64) -> TierSim {
         TierSim::new(ColdTierConfig::enabled(capacity, threshold, seed))
@@ -483,6 +639,110 @@ mod tests {
         };
         assert_eq!(degraded[0].view_based[0].0, sigmund_types::ItemId(4));
         assert_eq!(tier.stats().cold_misses, 1);
+    }
+
+    fn synth(n_items: usize, k: usize) -> Vec<ItemRecs> {
+        (0..n_items)
+            .map(|j| ItemRecs {
+                view_based: (1..=k)
+                    .map(|m| (ItemId(((j + m) % n_items) as u32), 1.0 / m as f32))
+                    .collect(),
+                purchase_based: (1..=k)
+                    .map(|m| (ItemId(((j + 2 * m) % n_items) as u32), 0.9 / m as f32))
+                    .collect(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_cold_lookup_reads_one_record_not_one_table() {
+        // A threshold nothing reaches: every access is a `Fetch`.
+        let dfs = Arc::new(Dfs::new());
+        let tier = ColdTier::new(
+            ColdTierConfig::enabled(4, u64::MAX, 0),
+            Arc::clone(&dfs),
+            CellId(0),
+        );
+        let (r, table) = (RetailerId(7), synth(2_000, 10));
+        tier.spill(r, 1, &table).unwrap();
+        let path = cold_path(1, r);
+        let blob_bytes = dfs.peek(&path).unwrap().len() as u64;
+        // Re-home the blob so the tier's reads cross cells and the DFS
+        // charges every chunk it fetched and verified for them.
+        dfs.migrate(&path, CellId(1)).unwrap();
+        for item in [0, 1, 63, 64, 999, 1_998, 1_999] {
+            let before = dfs.stats().cross_cell_read_bytes;
+            let FetchResult::Record(Some(recs)) = tier.fetch_item(r, 1, item, table.len()) else {
+                panic!("item {item}: a cold retailer's lookup must read one record");
+            };
+            assert_eq!(recs, table[item], "item {item}");
+            let moved = dfs.stats().cross_cell_read_bytes - before;
+            assert!(
+                moved <= 4 * 512,
+                "item {item}: {moved} of {blob_bytes} bytes"
+            );
+        }
+        // Past the end: answered from the item count, no read at all.
+        let before = dfs.stats().cross_cell_read_bytes;
+        for item in [2_000, 2_005, usize::MAX] {
+            assert!(matches!(
+                tier.fetch_item(r, 1, item, table.len()),
+                FetchResult::Record(None)
+            ));
+        }
+        assert_eq!(dfs.stats().cross_cell_read_bytes, before);
+        let s = tier.stats();
+        assert_eq!((s.hot_hits, s.fetches, s.cold_misses), (0, 10, 0), "{s:?}");
+        assert!(tier.resident().is_empty());
+        // The whole-table entry point is charged the whole blob.
+        let before = dfs.stats().cross_cell_read_bytes;
+        assert!(matches!(tier.fetch(r, 1), FetchResult::Table(_)));
+        assert_eq!(dfs.stats().cross_cell_read_bytes - before, blob_bytes);
+    }
+
+    #[test]
+    fn fetch_item_walks_fetch_admit_hit_and_refreshes_a_stale_resident() {
+        let tier = ColdTier::new(
+            ColdTierConfig::enabled(1, 2, 0),
+            Arc::new(Dfs::new()),
+            CellId(0),
+        );
+        let (r, old, new) = (RetailerId(0), synth(5, 2), synth(5, 3));
+        tier.spill(r, 1, &old).unwrap();
+        // First access stays cold (one record), second admits (whole table),
+        // third hits the cached table.
+        assert!(matches!(
+            tier.fetch_item(r, 1, 2, 5),
+            FetchResult::Record(Some(_))
+        ));
+        let FetchResult::Table(admitted) = tier.fetch_item(r, 1, 2, 5) else {
+            panic!("the admitting access loads the table");
+        };
+        assert_eq!(*admitted, old);
+        let FetchResult::Table(hit) = tier.fetch_item(r, 1, 9, 5) else {
+            panic!("a resident retailer answers from the cache, whatever the item");
+        };
+        assert!(Arc::ptr_eq(&hit, &admitted));
+        // A republish stales the cached copy; the next access refreshes it.
+        tier.spill(r, 2, &new).unwrap();
+        let FetchResult::Table(fresh) = tier.fetch_item(r, 2, 0, 5) else {
+            panic!("a stale resident is reloaded whole");
+        };
+        assert_eq!(*fresh, new);
+        let s = tier.stats();
+        assert_eq!((s.hot_hits, s.fetches, s.admissions), (1, 3, 1), "{s:?}");
+        // The blob is gone: the lookup degrades to the cached copy, counted.
+        assert!(matches!(
+            tier.fetch_item(r, 3, 0, 5),
+            FetchResult::Degraded(_)
+        ));
+        // A retailer that stays cold has no copy to degrade to.
+        assert!(matches!(
+            tier.fetch_item(RetailerId(1), 3, 0, 5),
+            FetchResult::Miss
+        ));
+        let s = tier.stats();
+        assert_eq!((s.hot_hits, s.fetches, s.cold_misses), (1, 3, 2), "{s:?}");
     }
 
     #[test]

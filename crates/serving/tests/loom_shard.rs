@@ -19,7 +19,11 @@
 //!   later publishes still reads back intact (the swap drops references,
 //!   never data a reader can reach),
 //! * readers never block a publisher out of existence: every schedule ends
-//!   with the final publish visible.
+//!   with the final publish visible,
+//! * the per-shard request counters lose no increment: whatever a summing
+//!   thread observes mid-race is between what had finished and what had
+//!   started, the final total is exact, and a `reset` racing a bump leaves
+//!   0 or 1 — the bump is kept or dropped whole.
 //!
 //! The slot ring's `parking_lot` locks need no shim: no scheduling point
 //! occurs while a slot lock is held (the only shimmed atomics are the
@@ -29,7 +33,7 @@
 #![cfg(loom)]
 
 use sigmund_core::loom_model::{model, thread};
-use sigmund_serving::ShardState;
+use sigmund_serving::{Outcome, ShardCounters, ShardState};
 use std::sync::Arc;
 
 /// A stand-in shard snapshot whose fields are redundantly coupled: any mix
@@ -151,6 +155,59 @@ fn loom_ring_wraparound_never_tears() {
         assert_coherent(&seen, total);
         assert_eq!(shard.load().generation, total);
         assert_eq!(shard.sequence(), total);
+    });
+    assert!(schedules > 1, "explorer found only {schedules} schedule(s)");
+}
+
+#[test]
+fn loom_counter_bumps_are_never_lost_under_a_concurrent_sum() {
+    let schedules = model(|| {
+        let counters = Arc::new(ShardCounters::default());
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let counters = Arc::clone(&counters);
+                thread::spawn(move || counters.bump(Outcome::Hit))
+            })
+            .collect();
+        let summer = {
+            let counters = Arc::clone(&counters);
+            thread::spawn(move || counters.total())
+        };
+        let seen = summer.join();
+        assert!(
+            seen[Outcome::Hit as usize] <= 2,
+            "a sum from the future: {seen:?}"
+        );
+        assert_eq!(
+            seen[1..],
+            [0; 3],
+            "a bump landed on the wrong counter: {seen:?}"
+        );
+        for r in readers {
+            r.join();
+        }
+        assert_eq!(counters.total(), [2, 0, 0, 0], "an increment was lost");
+    });
+    assert!(schedules > 1, "explorer found only {schedules} schedule(s)");
+}
+
+#[test]
+fn loom_reset_racing_a_bump_keeps_it_or_drops_it_whole() {
+    let schedules = model(|| {
+        let counters = Arc::new(ShardCounters::default());
+        counters.bump(Outcome::Miss);
+        counters.bump(Outcome::Miss);
+        let bumper = {
+            let counters = Arc::clone(&counters);
+            thread::spawn(move || counters.bump(Outcome::Miss))
+        };
+        counters.reset();
+        bumper.join();
+        let left = counters.total();
+        assert!(
+            left == [0; 4] || left == [0, 0, 1, 0],
+            "reset + one concurrent bump must land on 0 or 1, got {left:?}"
+        );
     });
     assert!(schedules > 1, "explorer found only {schedules} schedule(s)");
 }

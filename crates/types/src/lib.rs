@@ -29,7 +29,7 @@ pub use catalog::{Catalog, ItemMeta};
 pub use config::{ConfigRecord, FeatureSwitches, HyperParams, ModelMetrics, NegativeSamplerKind};
 pub use error::{Result, SigmundError};
 pub use fault::{FaultPlan, Partition};
-pub use hash::{fnv1a64, splitmix64, unit_f64};
+pub use hash::{fnv1a64, fnv1a64_chunks, splitmix64, unit_f64};
 pub use ids::{
     BrandId, CategoryId, CellId, FacetId, ItemId, MachineId, ModelId, RetailerId, TaskId, UserId,
 };

@@ -719,6 +719,100 @@ fn cold_tier_read_faults_degrade_to_counted_misses() {
     );
 }
 
+/// The same posture on the one-record path (ISSUE 19), with silent
+/// corruption added: a tier that never admits answers every lookup with two
+/// ranged reads, under `read_error_rate`, `corrupt_rate` and `bitflip_rate`
+/// at once. Integrity is not traded for speed: an answer is either bit for
+/// bit the published list, or empty **and** counted (`misses` and
+/// `cold_misses`) — never a wrong list, never a silent empty. A blob
+/// bit-flipped at rest fails exactly the lookups whose records or index
+/// entries share the flipped chunk, every time; torn and transient faults
+/// fail a lookup once and the retry wins.
+#[test]
+fn cold_tier_record_reads_answer_exactly_or_count_a_miss() {
+    let plan = FaultPlan {
+        seed: 23,
+        read_error_rate: 0.15,
+        corrupt_rate: 0.15,
+        bitflip_rate: 0.5,
+        ..FaultPlan::default()
+    };
+    let dfs = std::sync::Arc::new(sigmund_dfs::Dfs::with_faults(plan));
+    let inj = dfs.injector().expect("fault plan attaches an injector");
+    let store = ServingStore::with_cold_tier(
+        ColdTierConfig::enabled(2, u64::MAX, 5),
+        std::sync::Arc::clone(&dfs),
+        CellId(0),
+    );
+    // Big enough that a table spans many checksum chunks.
+    let n = 300u32;
+    let list = |r: u32, j: u32| -> Vec<(ItemId, f32)> {
+        (1..=6)
+            .map(|m| (ItemId((j + m + r) % n), 1.0 / m as f32))
+            .collect()
+    };
+    let batch: std::collections::BTreeMap<_, _> = (0..8u32)
+        .map(|r| {
+            let table: Vec<ItemRecs> = (0..n)
+                .map(|j| ItemRecs {
+                    view_based: list(r, j),
+                    purchase_based: vec![],
+                })
+                .collect();
+            (RetailerId(r), table)
+        })
+        .collect();
+    store.publish(batch);
+    assert!(inj.stats().bit_flips > 0, "some spills must land flipped");
+
+    let (mut exact, mut missed) = (0u64, 0u64);
+    for pass in 0..3 {
+        for r in 0..8u32 {
+            for j in (0..n).step_by(7) {
+                let before = store.stats();
+                let v = store.lookup(RetailerId(r), ItemId(j), RecSurface::ViewBased);
+                let after = store.stats();
+                if v.is_empty() {
+                    missed += 1;
+                    assert_eq!(after.misses, before.misses + 1);
+                    assert_eq!(
+                        after.cold_misses,
+                        before.cold_misses + 1,
+                        "pass {pass}: an empty answer for a published item must be counted"
+                    );
+                } else {
+                    exact += 1;
+                    assert_eq!(
+                        v,
+                        list(r, j),
+                        "a flash answer differs from what was published"
+                    );
+                    assert_eq!(after.hits, before.hits + 1);
+                    assert_eq!(after.cold_misses, before.cold_misses);
+                }
+            }
+        }
+    }
+    assert!(
+        exact > 0,
+        "most records sit in unflipped chunks and read clean"
+    );
+    assert!(missed > 0, "faulted reads must surface as counted misses");
+    let fs = inj.stats();
+    assert!(fs.read_errors > 0 && fs.torn_reads > 0, "{fs:?}");
+    let (s, t) = (store.stats(), store.tier_stats().expect("tier attached"));
+    assert_eq!(t.cold_misses, s.cold_misses);
+    assert_eq!(t.cold_misses, missed);
+    assert_eq!(
+        (t.hot_hits, t.admissions),
+        (0, 0),
+        "nothing is ever admitted"
+    );
+    assert_eq!(t.fetches + t.cold_misses, s.requests());
+    // Every checksum failure the DFS reported was one of the counted misses.
+    assert!(dfs.integrity_stats().checksum_failures <= missed);
+}
+
 /// Flash-write half of the same posture: with `write_error_rate` at 1.0
 /// nothing reaches flash, so publish pins every table `Hot` in memory —
 /// lookups still answer bitwise-correctly without ever touching the tier,

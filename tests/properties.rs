@@ -685,6 +685,403 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// One-record cold lookups (ISSUE 19): chunk-checksummed ranged DFS reads, the
+// self-indexing `SGRC` blob, and the `TierSim` victim index. Each property is
+// a plain function over its inputs, driven twice: by a proptest block, and by
+// a seeded `#[test]` that also runs where the proptest stand-in discards its
+// tokens.
+
+/// The DFS's bytes-per-checksum. Private there; pinned here because "a flip
+/// fails exactly the ranges on its chunk" cannot be stated without it
+/// (DESIGN.md §10 documents the value).
+const DFS_CHUNK: usize = 512;
+
+fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+    (0..len as u64)
+        .map(|i| splitmix64(seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).to_le_bytes()[0])
+        .collect()
+}
+
+fn is_corrupt<T>(r: &Result<T>) -> bool {
+    matches!(r, Err(SigmundError::Corrupt(_)))
+}
+
+/// On a clean DFS a ranged read is the same bytes as a slice of the whole
+/// read; out of bounds is an error, never a panic.
+fn check_range_reads_are_slices_of_the_whole_read(data: &[u8], picks: &[(usize, usize)]) {
+    use sigmund_dfs::Dfs;
+    let dfs = Dfs::new();
+    let cell = CellId(0);
+    dfs.write(cell, "/b", bytes::Bytes::copy_from_slice(data))
+        .unwrap();
+    let whole = dfs.read(cell, "/b").unwrap();
+    assert_eq!(&whole[..], data);
+    for &(o, l) in picks {
+        let got = dfs.read_range(cell, "/b", o, l);
+        match o.checked_add(l).filter(|&end| end <= data.len()) {
+            Some(end) => assert_eq!(&got.unwrap()[..], &whole[o..end], "range {o}+{l}"),
+            None => assert!(is_corrupt(&got), "range {o}+{l} of {} bytes", data.len()),
+        }
+    }
+}
+
+/// One bit flipped at rest (after the checksums were stamped): the whole
+/// read is `Corrupt`, as it always was, and a ranged read is `Corrupt` iff
+/// its range touches the flipped byte's chunk. `scrub` then restores the
+/// previous version for both kinds of reader.
+fn check_a_flip_fails_exactly_the_ranges_on_its_chunk(
+    data: &[u8],
+    flip_seed: u64,
+    picks: &[(usize, usize)],
+) {
+    use sigmund_dfs::Dfs;
+    assert!(!data.is_empty());
+    let dfs = Dfs::with_faults(FaultPlan {
+        seed: flip_seed,
+        bitflip_rate: 1.0,
+        from_day: 1,
+        until_day: 2,
+        ..FaultPlan::default()
+    });
+    let cell = CellId(0);
+    let previous = seeded_bytes(flip_seed ^ 0xA5, data.len() / 2 + 1);
+    dfs.write(cell, "/b", bytes::Bytes::from(previous.clone()))
+        .unwrap();
+    dfs.injector().unwrap().begin_day(1);
+    dfs.write(cell, "/b", bytes::Bytes::copy_from_slice(data))
+        .unwrap();
+    let stored = dfs.peek("/b").unwrap();
+    let flipped: Vec<usize> = (0..data.len()).filter(|&i| stored[i] != data[i]).collect();
+    assert_eq!(flipped.len(), 1, "the injector flips exactly one bit");
+    let chunk = flipped[0] / DFS_CHUNK;
+    assert!(is_corrupt(&dfs.read(cell, "/b")));
+    for &(o, l) in picks {
+        let (o, l) = (o % data.len(), l.max(1));
+        let l = l.min(data.len() - o);
+        let touches = o / DFS_CHUNK <= chunk && chunk <= (o + l - 1) / DFS_CHUNK;
+        let got = dfs.read_range(cell, "/b", o, l);
+        assert_eq!(
+            is_corrupt(&got),
+            touches,
+            "flip at {}, range {o}+{l}",
+            flipped[0]
+        );
+        if let Ok(bytes) = got {
+            assert_eq!(&bytes[..], &data[o..o + l]);
+        }
+    }
+    let report = dfs.scrub("/");
+    assert_eq!((report.corrupt, report.repaired), (1, 1));
+    assert_eq!(&dfs.read(cell, "/b").unwrap()[..], &previous[..]);
+    assert_eq!(
+        &dfs.read_range(cell, "/b", 0, 1).unwrap()[..],
+        &previous[..1]
+    );
+}
+
+/// A torn transfer of a non-empty range is `Corrupt`, whatever the range.
+fn check_a_torn_range_is_corrupt(data: &[u8], picks: &[(usize, usize)]) {
+    use sigmund_dfs::Dfs;
+    assert!(!data.is_empty());
+    let dfs = Dfs::with_faults(FaultPlan {
+        seed: 9,
+        corrupt_rate: 1.0,
+        ..FaultPlan::default()
+    });
+    let cell = CellId(0);
+    dfs.write(cell, "/b", bytes::Bytes::copy_from_slice(data))
+        .unwrap();
+    assert!(is_corrupt(&dfs.read(cell, "/b")));
+    for &(o, l) in picks {
+        let (o, l) = (o % data.len(), l.max(1));
+        let got = dfs.read_range(cell, "/b", o, l.min(data.len() - o));
+        assert!(is_corrupt(&got), "torn range {o}+{l} came back {got:?}");
+    }
+}
+
+/// A table with `n` items whose lists have 0, 1 or `k` entries, picked per
+/// list by `seed`; scores include a NaN and a negative zero.
+fn seeded_table(seed: u64, n: usize, k: usize) -> Vec<ItemRecs> {
+    let list = |salt: u64| -> RecList {
+        let h = splitmix64(seed ^ salt);
+        let len = [0, 1, k][(h % 3) as usize];
+        (0..len as u64)
+            .map(|m| {
+                let score = match (h >> 8) % 5 {
+                    0 => f32::NAN,
+                    1 => -0.0,
+                    _ => 1.0 / (m + 1) as f32,
+                };
+                (ItemId((h >> 16) as u32 ^ m as u32), score)
+            })
+            .collect()
+    };
+    (0..n as u64)
+        .map(|j| ItemRecs {
+            view_based: list(2 * j),
+            purchase_based: list(2 * j + 1),
+        })
+        .collect()
+}
+
+fn list_bits(list: &RecList) -> Vec<(u32, u32)> {
+    list.iter().map(|&(i, s)| (i.0, s.to_bits())).collect()
+}
+
+/// The unindexed, unversioned `SGRC` layout the indexed one replaced.
+fn encode_recs_v1(recs: &[ItemRecs]) -> Vec<u8> {
+    let mut w = wire::Writer::new(b"SGRC");
+    w.list(recs.iter(), |w, r| {
+        for list in [&r.view_based, &r.purchase_based] {
+            w.list(list.iter(), |w, &(item, score)| {
+                w.u32(item.0);
+                w.f32(score);
+            });
+        }
+    });
+    w.finish()
+}
+
+/// Every `(item, surface)` answered through `locate` + `decode_record` is
+/// bit for bit the list `decode_recs` puts at that item; an item at or past
+/// the end is a clean miss; every strict prefix of the blob and the old
+/// layout are `Corrupt` for both readers.
+fn check_one_record_reads_agree_with_decode_recs(table: &[ItemRecs]) {
+    use sigmund_core::recs_codec::{decode_record, decode_recs, encode_recs, locate};
+    let blob = encode_recs(table);
+    let whole = decode_recs(&blob).unwrap();
+    assert_eq!(whole.len(), table.len());
+    for (item, want) in whole.iter().enumerate() {
+        let at = locate(&blob, item).unwrap().expect("item is in the table");
+        let got = decode_record(&blob[at]).unwrap();
+        assert_eq!(list_bits(&got.view_based), list_bits(&want.view_based));
+        assert_eq!(
+            list_bits(&got.purchase_based),
+            list_bits(&want.purchase_based)
+        );
+        assert_eq!(
+            list_bits(&got.view_based),
+            list_bits(&table[item].view_based)
+        );
+    }
+    for past in [table.len(), table.len() + 5] {
+        assert_eq!(
+            locate(&blob, past).unwrap(),
+            None,
+            "item {past} is a clean miss"
+        );
+    }
+    for cut in 0..blob.len() {
+        assert!(
+            is_corrupt(&decode_recs(&blob[..cut])),
+            "prefix {cut} decoded"
+        );
+        for item in [0, table.len() / 2, table.len()] {
+            assert!(
+                is_corrupt(&locate(&blob[..cut], item)),
+                "prefix {cut} located {item}"
+            );
+        }
+    }
+    let old = encode_recs_v1(table);
+    assert!(is_corrupt(&decode_recs(&old)), "the old layout decoded");
+    for item in [0, table.len()] {
+        assert!(
+            is_corrupt(&locate(&old, item)),
+            "the old layout located {item}"
+        );
+    }
+}
+
+/// The `TierSim` this PR replaced, kept as the executable spec of its
+/// outcomes: on every contested access it scans every resident for the
+/// smallest tick.
+struct LinearScanTierSim {
+    cfg: sigmund_serving::ColdTierConfig,
+    clock: u64,
+    resident: std::collections::BTreeMap<RetailerId, u64>,
+    counts: std::collections::BTreeMap<RetailerId, u64>,
+}
+
+impl LinearScanTierSim {
+    fn new(cfg: sigmund_serving::ColdTierConfig) -> Self {
+        Self {
+            cfg,
+            clock: 0,
+            resident: Default::default(),
+            counts: Default::default(),
+        }
+    }
+
+    fn access(&mut self, retailer: RetailerId) -> sigmund_serving::TierOutcome {
+        use sigmund_serving::TierOutcome;
+        self.clock += 1;
+        let count = self.counts.entry(retailer).or_insert(0);
+        *count += 1;
+        let count = *count;
+        if self.resident.contains_key(&retailer) {
+            self.resident.insert(retailer, self.clock);
+            return TierOutcome::Hit;
+        }
+        if self.cfg.hot_capacity == 0 || count < self.cfg.admission_threshold {
+            return TierOutcome::Fetch;
+        }
+        if self.resident.len() < self.cfg.hot_capacity {
+            self.resident.insert(retailer, self.clock);
+            return TierOutcome::Admit { evicted: None };
+        }
+        let (victim, _) = self
+            .resident
+            .iter()
+            .min_by_key(|(_, &tick)| tick)
+            .map(|(&r, &t)| (r, t))
+            .unwrap_or((retailer, 0));
+        let victim_count = self.counts.get(&victim).copied().unwrap_or(0);
+        let wins = match count.cmp(&victim_count) {
+            Ordering::Greater => true,
+            Ordering::Less => false,
+            Ordering::Equal => {
+                splitmix64(self.cfg.seed ^ u64::from(retailer.0))
+                    > splitmix64(self.cfg.seed ^ u64::from(victim.0))
+            }
+        };
+        if wins {
+            self.resident.remove(&victim);
+            self.resident.insert(retailer, self.clock);
+            TierOutcome::Admit {
+                evicted: Some(victim),
+            }
+        } else {
+            TierOutcome::Fetch
+        }
+    }
+
+    fn resident(&self) -> Vec<RetailerId> {
+        self.resident.keys().copied().collect()
+    }
+}
+
+/// The indexed `TierSim` and the linear-scan one agree outcome for outcome
+/// and on residency after every access.
+fn check_tiersim_matches_the_linear_scan(
+    capacity: usize,
+    threshold: u64,
+    seed: u64,
+    accesses: &[u32],
+) {
+    let cfg = sigmund_serving::ColdTierConfig::enabled(capacity, threshold, seed);
+    let mut new = sigmund_serving::TierSim::new(cfg);
+    let mut old = LinearScanTierSim::new(cfg);
+    for (i, &r) in accesses.iter().enumerate() {
+        let r = RetailerId(r);
+        assert_eq!(new.access(r), old.access(r), "step {i}: outcomes diverged");
+        assert_eq!(
+            new.resident(),
+            old.resident(),
+            "step {i}: residency diverged"
+        );
+        assert_eq!(new.is_resident(r), old.resident.contains_key(&r));
+    }
+}
+
+proptest! {
+    #[test]
+    fn range_reads_are_slices_of_the_whole_read(
+        seed in any::<u64>(),
+        len in 0usize..3000,
+        picks in prop::collection::vec((0usize..3200, 0usize..1400), 1..24),
+    ) {
+        check_range_reads_are_slices_of_the_whole_read(&seeded_bytes(seed, len), &picks);
+    }
+
+    #[test]
+    fn a_flip_fails_exactly_the_ranges_on_its_chunk(
+        seed in any::<u64>(),
+        len in 1usize..3000,
+        picks in prop::collection::vec((0usize..3000, 0usize..1400), 1..24),
+    ) {
+        check_a_flip_fails_exactly_the_ranges_on_its_chunk(&seeded_bytes(seed, len), seed, &picks);
+    }
+
+    #[test]
+    fn a_torn_range_is_corrupt(
+        seed in any::<u64>(),
+        len in 1usize..3000,
+        picks in prop::collection::vec((0usize..3000, 0usize..1400), 1..12),
+    ) {
+        check_a_torn_range_is_corrupt(&seeded_bytes(seed, len), &picks);
+    }
+
+    #[test]
+    fn one_record_reads_agree_with_decode_recs(
+        seed in any::<u64>(),
+        n in 0usize..40,
+        k in prop::sample::select(vec![0usize, 1, 10]),
+    ) {
+        check_one_record_reads_agree_with_decode_recs(&seeded_table(seed, n, k));
+    }
+
+    #[test]
+    fn tiersim_matches_the_linear_scan(
+        capacity in 1usize..=64,
+        threshold in 1u64..4,
+        seed in 0u64..512,
+        accesses in prop::collection::vec(0u32..160, 1..600),
+    ) {
+        check_tiersim_matches_the_linear_scan(capacity, threshold, seed, &accesses);
+    }
+}
+
+/// The five properties above on seeded inputs (see the section comment).
+#[test]
+fn one_record_lookup_properties_hold_on_seeded_cases() {
+    let pick = |seed: u64, i: u64, modulo: usize| (splitmix64(seed ^ (i << 20)) as usize) % modulo;
+    let edge_lens = [0, 1, 2, 511, 512, 513, 1024, 1025, 2047, 2999];
+    for seed in 0..40u64 {
+        let len = edge_lens
+            .get(seed as usize)
+            .copied()
+            .unwrap_or_else(|| pick(seed, 0, 3000));
+        let data = seeded_bytes(seed, len);
+        let picks: Vec<(usize, usize)> = (1..20)
+            .map(|i| (pick(seed, 2 * i, 3200), pick(seed, 2 * i + 1, 1400)))
+            .chain([
+                (0, len),
+                (len, 0),
+                (len, 1),
+                (usize::MAX, 2),
+                (1, usize::MAX),
+            ])
+            .collect();
+        check_range_reads_are_slices_of_the_whole_read(&data, &picks);
+        if len > 0 {
+            check_a_flip_fails_exactly_the_ranges_on_its_chunk(&data, seed, &picks);
+            check_a_torn_range_is_corrupt(&data, &picks);
+        }
+    }
+    for seed in 0..30u64 {
+        let n = [0, 1, 2, 3][seed as usize % 4] + pick(seed, 1, 3) * 9;
+        for k in [0, 1, 10] {
+            check_one_record_reads_agree_with_decode_recs(&seeded_table(seed, n, k));
+        }
+    }
+    for seed in 0..60u64 {
+        let capacity = 1 + pick(seed, 1, 64);
+        let threshold = 1 + pick(seed, 2, 3) as u64;
+        let spread = 2 + pick(seed, 3, 3 * capacity + 8);
+        // Squaring a uniform draw skews the sequence towards low ids: a
+        // popular head that stays resident and a tail that contests it.
+        let accesses: Vec<u32> = (0..800u64)
+            .map(|i| {
+                let u = pick(seed, 10 + i, 1 << 16) as f64 / 65_536.0;
+                (u * u * spread as f64) as u32
+            })
+            .collect();
+        check_tiersim_matches_the_linear_scan(capacity, threshold, seed, &accesses);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Wire formats (ISSUE 14). Plain `#[test]`s, not proptest blocks: they must
 // run where the proptest stand-in discards its tokens.
 
@@ -921,13 +1318,16 @@ fn wire_cases() -> Vec<WireCase> {
 /// The proof that porting the codecs onto `sigmund_types::wire` changed no
 /// byte: each constant is `fnv1a64` of the fixture's encoding **recorded at
 /// commit 0066810**, before the port. Round-trip tests cannot see a layout
-/// change made on both the encode and the decode side; this can.
+/// change made on both the encode and the decode side; this can. A layout
+/// that changes deliberately re-records its row and says why beside it.
 #[test]
 fn wire_formats_are_byte_stable() {
     let golden: [(&str, usize, u64); 10] = [
         ("hyper-params wire", 42, 0x5dda_6c89_424f_5e68),
         ("SGMD model snapshot", 326, 0x6d53_d0be_b498_ad05),
-        ("SGRC recs", 64, 0xeea4_86c3_e26e_5abd),
+        // Re-recorded on purpose by ISSUE 19: a version byte and the
+        // `n + 1`-entry offset index (+1 + 4 × 4 bytes on this fixture).
+        ("SGRC recs", 81, 0x9eae_20c8_37ce_a933),
         ("SGCT catalog", 55, 0x4d56_30e7_cf4d_b03f),
         ("event log", 72, 0xfc64_e45b_4d4f_1d59),
         ("SGJL day manifest", 577, 0xc4ae_571c_54c8_ba69),

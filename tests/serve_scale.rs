@@ -136,6 +136,48 @@ fn clean_tiered_answers_are_bitwise_identical_to_memory() {
     assert_eq!(cold.store.stats().cold_misses, 0);
     let t = cold.store.tier_stats().unwrap();
     assert!(t.fetches > 0, "the tiered run must actually touch flash");
+
+    // The replay mostly hits admitted tables. Sweep every item × surface of
+    // one small table through a tier that never admits (no retailer reaches
+    // the threshold), so every answer is a single record read off flash,
+    // compared list for list — plus the probes just past the table's end.
+    use sigmund_bench::serve::synth_table;
+    use sigmund_serving::RecSurface;
+    use sigmund_types::{CellId, ItemId, RetailerId};
+    let (r, n) = (RetailerId(3), 37);
+    let batch = || std::collections::BTreeMap::from([(r, synth_table(n, spec.rec_k, 0))]);
+    let memory = ServingStore::new();
+    memory.publish(batch());
+    let flash = ServingStore::with_cold_tier(
+        ColdTierConfig::enabled(1, u64::MAX, 7),
+        Arc::new(sigmund_dfs::Dfs::new()),
+        CellId(0),
+    );
+    flash.publish(batch());
+    for item in (0..n + 6).map(|i| ItemId(i as u32)) {
+        for surface in [RecSurface::ViewBased, RecSurface::PurchaseBased] {
+            let a = flash.lookup(r, item, surface);
+            let b = memory.lookup(r, item, surface);
+            let a_bits: Vec<(u32, u32)> = a.iter().map(|(i, s)| (i.0, s.to_bits())).collect();
+            let b_bits: Vec<(u32, u32)> = b.iter().map(|(i, s)| (i.0, s.to_bits())).collect();
+            assert_eq!(
+                a_bits, b_bits,
+                "one-record read of {item:?} changed an answer"
+            );
+        }
+    }
+    assert_eq!(flash.stats(), memory.stats());
+    assert_eq!(
+        flash.stats().misses,
+        12,
+        "the probes past the end are misses"
+    );
+    let t = flash.tier_stats().unwrap();
+    assert_eq!(
+        (t.hot_hits, t.fetches, t.cold_misses, t.admissions),
+        (0, 2 * (n as u64 + 6), 0, 0),
+        "every sweep lookup must have taken the one-record path"
+    );
 }
 
 /// An attached-but-unused observability surface stays silent: replaying

@@ -112,6 +112,7 @@ impl Default for Policy {
                 "crates/pipeline/src/journal.rs".into(),
                 "crates/pipeline/src/monitor.rs".into(),
                 "crates/serving/src/store.rs".into(),
+                "crates/serving/src/tier.rs".into(),
             ],
             reference_src_prefix: "crates/core/src/".into(),
             reference_test_file: "tests/infer_fastpath.rs".into(),
